@@ -3,7 +3,8 @@ package analysis
 // Micro-benchmarks for the abstract-interpretation engine: the generic
 // worklist solver on the volume problem, the interval transfer primitives,
 // loop-bound timing analysis, symbolic-replay touch extraction, and the
-// whole Analyze pipeline. Run with:
+// whole Analyze pipeline; the last two on the smallest and the largest
+// assay. Run with:
 //
 //	go test ./internal/analysis -bench . -benchmem
 
@@ -84,22 +85,37 @@ func BenchmarkAnalyzeTiming(b *testing.B) {
 	}
 }
 
+// layerAssays are the smallest and the largest benchmark assays; layer
+// benchmarks run on both, so a hotspot that grows with assay size shows.
+var layerAssays = []struct{ short, name string }{
+	{"PCR", "PCR"},
+	{"Opiate", "Opiate detection immunoassay"},
+}
+
 func BenchmarkReplayTouches(b *testing.B) {
-	u := benchUnit(b, "PCR")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		verify.ReplayTouches(u)
+	for _, a := range layerAssays {
+		b.Run(a.short, func(b *testing.B) {
+			u := benchUnit(b, a.name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				verify.ReplayTouches(u)
+			}
+		})
 	}
 }
 
 func BenchmarkAnalyzeFull(b *testing.B) {
-	u := benchUnit(b, "PCR")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(u, Config{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, a := range layerAssays {
+		b.Run(a.short, func(b *testing.B) {
+			u := benchUnit(b, a.name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Analyze(u, Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

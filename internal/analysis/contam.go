@@ -38,8 +38,10 @@ type Hazard struct {
 	Carrier, Victim ir.FluidID
 	// Reagents are the foreign reagent classes transferred, sorted.
 	Reagents []string
-	// Cell is one electrode where the crossing happens; Cells counts how
-	// many distinct electrodes this carrier/victim pair shares.
+	// Cell is the row-major-first electrode (lowest Y, then lowest X) the
+	// pair crosses in its first (CarrierScope, VictimScope) pair of
+	// sequences; Cells counts how many distinct electrodes this
+	// carrier/victim pair shares over all sequences.
 	Cell  arch.Point
 	Cells int
 	// CarrierScope and VictimScope name the sequences ("block x",
@@ -59,13 +61,45 @@ type WashSuggestion struct {
 	TourCycles int
 }
 
+// span is one droplet's presence on one electrode within one sequence: the
+// cycles of its first and last arrival there.
+type span struct {
+	fluid       ir.FluidID
+	first, last int
+}
+
 // seqNode identifies one activation sequence in execution order: a block
 // or an edge.
 type seqNode struct {
 	scope string
 	succs []*seqNode
-	// touches per cell, in replay order.
-	byCell map[arch.Point][]verify.Touch
+	// spans per touched cell, one per droplet.
+	spans map[arch.Point][]span
+	// cells lists the keys of spans in row-major order.
+	cells []arch.Point
+}
+
+// newSeqNode collapses a sequence's touch history to spans.
+func newSeqNode(scope string, touches []verify.Touch) *seqNode {
+	n := &seqNode{scope: scope, spans: map[arch.Point][]span{}}
+	for _, t := range touches {
+		ss, seen := n.spans[t.Cell]
+		if !seen {
+			n.cells = append(n.cells, t.Cell)
+		}
+		i := 0
+		for i < len(ss) && ss[i].fluid != t.Fluid {
+			i++
+		}
+		if i == len(ss) {
+			n.spans[t.Cell] = append(ss, span{fluid: t.Fluid, first: t.Cycle, last: t.Cycle})
+			continue
+		}
+		ss[i].first = min(ss[i].first, t.Cycle)
+		ss[i].last = max(ss[i].last, t.Cycle)
+	}
+	sortRowMajor(n.cells)
+	return n
 }
 
 // analyzeContamination runs the full cross-contamination analysis, emitting
@@ -82,10 +116,7 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 	nodes := map[string]*seqNode{}
 	blockNode := map[int]*seqNode{}
 	mk := func(scope string, touches []verify.Touch) *seqNode {
-		n := &seqNode{scope: scope, byCell: map[arch.Point][]verify.Touch{}}
-		for _, t := range touches {
-			n.byCell[t.Cell] = append(n.byCell[t.Cell], t)
-		}
+		n := newSeqNode(scope, touches)
 		nodes[scope] = n
 		return n
 	}
@@ -97,65 +128,103 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 		blockNode[e.From.ID].succs = append(blockNode[e.From.ID].succs, en)
 		en.succs = append(en.succs, blockNode[e.To.ID])
 	}
+	hazards, carrierCells := findHazards(nodes, reagents, washedCells(conf.Washes))
+	for _, h := range hazards {
+		rep.warnf("BF320", verify.Pos{Scope: h.VictimScope, InstrID: -1, Cycle: -1, Cell: h.Cell, HasCell: true},
+			"cross-contamination hazard: droplet %s crosses %d electrode(s) carrying unwashed residue of %s from droplet %s (%s)",
+			h.Victim, h.Cells, strings.Join(h.Reagents, ", "), h.Carrier, h.CarrierScope)
+	}
+
+	var suggestions []WashSuggestion
+	for _, scope := range sortedKeys2(carrierCells) {
+		cells := make([]arch.Point, 0, len(carrierCells[scope]))
+		for c := range carrierCells[scope] {
+			cells = append(cells, c)
+		}
+		sortRowMajor(cells)
+		sug := WashSuggestion{After: scope, Cells: cells}
+		if tour, err := wash.Plan(u.Chip, cells, nil); err == nil && len(tour.Skipped) == 0 {
+			sug.TourCycles = tour.Cycles()
+			rep.infof("BF321", verify.Pos{Scope: scope, InstrID: -1, Cycle: -1},
+				"suggest wash after %s covering %d residue cell(s); a tour of %d cycles scrubs them",
+				scope, len(cells), sug.TourCycles)
+		} else {
+			rep.infof("BF321", verify.Pos{Scope: scope, InstrID: -1, Cycle: -1},
+				"suggest wash after %s covering %d residue cell(s); no full tour is feasible on this chip",
+				scope, len(cells))
+		}
+		suggestions = append(suggestions, sug)
+	}
+	return hazards, suggestions
+}
+
+// findHazards searches the sequence graph for hazardous crossings of
+// unwashed cells, aggregated per carrier/victim pair and sorted by carrier
+// scope, carrier and victim. It also returns the hazardous cells grouped by
+// the scope leaving the residue, for wash suggestions.
+//
+// A carrier's residue reaches a victim on a cell when some carrier arrival
+// precedes some victim arrival there. Across two sequences that is any pair
+// of arrivals, when the victim's sequence can run after the carrier's.
+// Within one sequence off every CFG cycle it is first(carrier) <
+// last(victim) over their spans; a sequence on a CFG cycle runs again after
+// itself, so there too any pair counts. Pairing spans rather than touches
+// makes the cost grow with the droplets sharing a cell, not with how often
+// they cross it. Sequences are taken in scope order and cells in row-major
+// order, and the first crossing of a pair names its scopes and cell.
+func findHazards(nodes map[string]*seqNode, reagents map[ir.FluidID]map[string]bool, washed map[arch.Point]bool) ([]Hazard, map[string]map[arch.Point]bool) {
 	reach := reachability(nodes)
-
-	washed := washedCells(conf.Washes)
-
-	// Find every hazardous ordered crossing, aggregated per carrier/victim
-	// pair.
+	// foreign memoizes the reagents a carrier holds outside a victim's
+	// lineage, sorted; empty when the victim already carries them all.
 	type pairKey struct{ carrier, victim ir.FluidID }
+	foreign := map[pairKey][]string{}
 	type pairAgg struct {
-		reagents map[string]bool
-		cells    map[arch.Point]bool
-		first    Hazard
+		cells map[arch.Point]bool
+		first Hazard
 	}
 	pairs := map[pairKey]*pairAgg{}
-	// carrierCells groups hazardous cells by the scope leaving the residue,
-	// for wash suggestions.
 	carrierCells := map[string]map[arch.Point]bool{}
 
 	scopes := sortedScopes(nodes)
 	for _, s1 := range scopes {
 		n1 := nodes[s1]
+		ordered := !reach[s1][s1]
 		for _, s2 := range scopes {
 			n2 := nodes[s2]
 			sameSeq := n1 == n2
 			if !sameSeq && !reach[s1][s2] {
 				continue
 			}
-			selfLoop := reach[s1][s1]
-			for cell, ts1 := range n1.byCell {
+			for _, cell := range n1.cells {
 				if washed[cell] {
 					continue
 				}
-				ts2, ok := n2.byCell[cell]
+				victims, ok := n2.spans[cell]
 				if !ok {
 					continue
 				}
-				for _, t1 := range ts1 {
-					for _, t2 := range ts2 {
-						if t1.Fluid == t2.Fluid {
+				for _, c := range n1.spans[cell] {
+					for _, v := range victims {
+						if c.fluid == v.fluid || sameSeq && ordered && c.first >= v.last {
 							continue
 						}
-						if sameSeq && t2.Cycle <= t1.Cycle && !selfLoop {
+						k := pairKey{c.fluid, v.fluid}
+						rs, known := foreign[k]
+						if !known {
+							rs = subtract(reagents[c.fluid], reagents[v.fluid])
+							foreign[k] = rs
+						}
+						if len(rs) == 0 {
 							continue
 						}
-						foreign := subtract(reagents[t1.Fluid], reagents[t2.Fluid])
-						if len(foreign) == 0 {
-							continue
-						}
-						k := pairKey{t1.Fluid, t2.Fluid}
 						agg := pairs[k]
 						if agg == nil {
-							agg = &pairAgg{reagents: map[string]bool{}, cells: map[arch.Point]bool{}}
+							agg = &pairAgg{cells: map[arch.Point]bool{}}
 							agg.first = Hazard{
-								Carrier: t1.Fluid, Victim: t2.Fluid,
+								Carrier: c.fluid, Victim: v.fluid, Reagents: rs,
 								Cell: cell, CarrierScope: s1, VictimScope: s2,
 							}
 							pairs[k] = agg
-						}
-						for _, r := range foreign {
-							agg.reagents[r] = true
 						}
 						agg.cells[cell] = true
 						cc := carrierCells[s1]
@@ -173,7 +242,6 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 	var hazards []Hazard
 	for _, agg := range pairs {
 		h := agg.first
-		h.Reagents = sortedKeys(agg.reagents)
 		h.Cells = len(agg.cells)
 		hazards = append(hazards, h)
 	}
@@ -187,38 +255,7 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 		}
 		return a.Victim.String() < b.Victim.String()
 	})
-	for _, h := range hazards {
-		rep.warnf("BF320", verify.Pos{Scope: h.VictimScope, InstrID: -1, Cycle: -1, Cell: h.Cell, HasCell: true},
-			"cross-contamination hazard: droplet %s crosses %d electrode(s) carrying unwashed residue of %s from droplet %s (%s)",
-			h.Victim, h.Cells, strings.Join(h.Reagents, ", "), h.Carrier, h.CarrierScope)
-	}
-
-	var suggestions []WashSuggestion
-	for _, scope := range sortedKeys2(carrierCells) {
-		cells := make([]arch.Point, 0, len(carrierCells[scope]))
-		for c := range carrierCells[scope] {
-			cells = append(cells, c)
-		}
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].Y != cells[j].Y {
-				return cells[i].Y < cells[j].Y
-			}
-			return cells[i].X < cells[j].X
-		})
-		sug := WashSuggestion{After: scope, Cells: cells}
-		if tour, err := wash.Plan(u.Chip, cells, nil); err == nil && len(tour.Skipped) == 0 {
-			sug.TourCycles = tour.Cycles()
-			rep.infof("BF321", verify.Pos{Scope: scope, InstrID: -1, Cycle: -1},
-				"suggest wash after %s covering %d residue cell(s); a tour of %d cycles scrubs them",
-				scope, len(cells), sug.TourCycles)
-		} else {
-			rep.infof("BF321", verify.Pos{Scope: scope, InstrID: -1, Cycle: -1},
-				"suggest wash after %s covering %d residue cell(s); no full tour is feasible on this chip",
-				scope, len(cells))
-		}
-		suggestions = append(suggestions, sug)
-	}
-	return hazards, suggestions
+	return hazards, carrierCells
 }
 
 // reagentSets computes, for every fluid version in the graph, the set of
@@ -322,19 +359,20 @@ func subtract(a, b map[string]bool) []string {
 	return out
 }
 
+// sortRowMajor orders cells by row (Y), then column (X).
+func sortRowMajor(cells []arch.Point) {
+	sort.Slice(cells, func(i, j int) bool {
+		if cells[i].Y != cells[j].Y {
+			return cells[i].Y < cells[j].Y
+		}
+		return cells[i].X < cells[j].X
+	})
+}
+
 func sortedScopes(nodes map[string]*seqNode) []string {
 	out := make([]string, 0, len(nodes))
 	for s := range nodes {
 		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

@@ -2,7 +2,7 @@ package pinsafe
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/codegen"
@@ -64,31 +64,45 @@ func (a *Analysis) Verify(m *PinMap) []verify.Diag {
 }
 
 // sequence broadcast-replays one activation sequence against its baseline.
+// Frames never change the droplet population, so the canonical droplet
+// order is rebuilt only after events.
 func (v *bcastVerifier) sequence(si seqInfo) {
 	s := si.seq
 	base := clonePos(si.rep.Start)
 	bpos := clonePos(si.rep.Start)
+	order := sortedFluids(bpos)
 	moves := si.rep.Moves
 	mi, evIdx := 0, 0
 	seenFaulty := map[arch.Point]bool{}
+	// Per-cycle scratch: the frame's broadcast closure and the distinct
+	// pins it drives, ascending.
+	active := map[arch.Point]bool{}
+	var driven []int
 	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
+		fired := false
 		for evIdx < len(s.Events) && s.Events[evIdx].Cycle <= t {
 			applyEvent(s.Events[evIdx], base)
 			applyEvent(s.Events[evIdx], bpos)
 			evIdx++
+			fired = true
+		}
+		if fired {
+			order = sortedFluids(bpos)
 		}
 		frame := s.Frames[t]
-		active := make(map[arch.Point]bool, len(frame))
+		clear(active)
 		for _, c := range frame {
 			active[c] = true
 		}
-		driven := map[int]bool{}
+		driven = driven[:0]
 		for _, c := range frame {
 			if pin, ok := v.pins[c]; ok {
-				driven[pin] = true
+				driven = append(driven, pin)
 			}
 		}
-		for _, pin := range sortedPins(driven) {
+		slices.Sort(driven)
+		driven = slices.Compact(driven)
+		for _, pin := range driven {
 			for _, c := range v.groups[pin] {
 				if active[c] || !v.a.chip.InBounds(c) {
 					continue
@@ -108,31 +122,35 @@ func (v *bcastVerifier) sequence(si seqInfo) {
 		for ; mi < len(moves) && moves[mi].Cycle == t; mi++ {
 			base[moves[mi].Fluid] = moves[mi].To
 		}
-		for _, f := range sortedFluids(bpos) {
+		for _, f := range order {
 			p := bpos[f]
 			if active[p] {
 				continue // hold
 			}
-			var next []arch.Point
+			var next arch.Point
+			n := 0
 			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				if n := p.Add(d[0], d[1]); active[n] {
-					next = append(next, n)
+				if q := p.Add(d[0], d[1]); active[q] {
+					next = q
+					n++
 				}
 			}
-			switch len(next) {
+			switch n {
 			case 1:
-				bpos[f] = next[0]
+				bpos[f] = next
 			case 0:
 				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
 					"droplet %s at %v stranded under broadcast actuation: no active electrode in reach", f, p)
 				return
 			default:
 				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-					"droplet %s at %v torn between %d active electrodes under broadcast actuation", f, p, len(next))
+					"droplet %s at %v torn between %d active electrodes under broadcast actuation", f, p, n)
 				return
 			}
 		}
-		for _, f := range sortedFluids(base) {
+		// base and bpos hold the same droplets: events apply to both, and
+		// baseline moves name only droplets on the chip.
+		for _, f := range order {
 			if bpos[f] != base[f] {
 				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: bpos[f], HasCell: true},
 					"broadcast actuation diverts droplet %s to %v; the program expects %v", f, bpos[f], base[f])
@@ -183,13 +201,4 @@ func sortedFluids(m map[ir.FluidID]arch.Point) []ir.FluidID {
 	}
 	ir.SortFluids(fs)
 	return fs
-}
-
-func sortedPins(m map[int]bool) []int {
-	pins := make([]int, 0, len(m))
-	for p := range m {
-		pins = append(pins, p)
-	}
-	sort.Ints(pins)
-	return pins
 }

@@ -176,6 +176,7 @@ func (a *Analysis) scan(si seqInfo) {
 	s := si.seq
 	moves := si.rep.Moves
 	mi := 0
+	inFrame := map[arch.Point]bool{}
 	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
 		frame := s.Frames[t]
 		for _, c := range frame {
@@ -187,7 +188,7 @@ func (a *Analysis) scan(si seqInfo) {
 		if mi >= len(moves) || moves[mi].Cycle > t {
 			continue // nothing moves this cycle: extra actuations are inert
 		}
-		inFrame := make(map[arch.Point]bool, len(frame))
+		clear(inFrame)
 		for _, c := range frame {
 			inFrame[c] = true
 		}

@@ -299,27 +299,44 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 		pos[f] = p
 		r.touch(f, p, 0)
 	}
+	// order holds the droplets in canonical order. Frames move droplets but
+	// never change the population, so it is rebuilt only after events.
+	order := sortedFluids(pos)
+	active := map[arch.Point]bool{}
 	evIdx := 0
-	applyEvents := func(t int) bool {
+	// applyEvents applies the events due by cycle t and reports whether
+	// any fired.
+	applyEvents := func(t int) (fired, ok bool) {
 		for evIdx < len(s.Events) && s.Events[evIdx].Cycle <= t {
 			if !r.applyEvent(scope, s.Events[evIdx], pos) {
-				return false
+				return false, false
 			}
 			evIdx++
+			fired = true
 		}
-		return true
+		if fired {
+			order = sortedFluids(pos)
+		}
+		return fired, true
 	}
 	seenAdj := map[[2]ir.FluidID]bool{}
 	for t := 0; t < s.NumCycles; t++ {
-		if !applyEvents(t) {
+		fired, ok := applyEvents(t)
+		if !ok {
 			return nil
 		}
-		if !r.applyFrame(scope, s.Frames[t], t, pos) {
+		moved, ok := r.applyFrame(scope, s.Frames[t], t, pos, order, active)
+		if !ok {
 			return nil
 		}
-		r.checkAdjacency(scope, t, pos, mates, seenAdj)
+		// Every adjacent pair of the last checked cycle is already in
+		// seenAdj, so a cycle that changed no position or population
+		// cannot add a finding.
+		if t == 0 || fired || moved {
+			r.checkAdjacency(scope, t, pos, order, mates, seenAdj)
+		}
 	}
-	if !applyEvents(s.NumCycles) {
+	if _, ok := applyEvents(s.NumCycles); !ok {
 		return nil
 	}
 	return pos
@@ -597,66 +614,72 @@ func (r *replayer) checkHeat(dpos Pos, ev codegen.Event, p arch.Point) {
 }
 
 // applyFrame moves every replayed droplet according to the activated
-// electrodes, exactly as the runtime interpreter (and the chip) would.
-func (r *replayer) applyFrame(scope string, f codegen.Frame, t int, pos map[ir.FluidID]arch.Point) bool {
-	active := make(map[arch.Point]bool, len(f))
+// electrodes, exactly as the runtime interpreter (and the chip) would,
+// visiting droplets in the given canonical order. active is scratch space
+// for the frame's electrode set. It reports whether any droplet moved.
+func (r *replayer) applyFrame(scope string, f codegen.Frame, t int, pos map[ir.FluidID]arch.Point, order []ir.FluidID, active map[arch.Point]bool) (moved, ok bool) {
+	clear(active)
 	for _, c := range f {
 		active[c] = true
 	}
 	if len(active) != len(pos) {
 		r.errorf("BF101", Pos{Scope: scope, InstrID: -1, Cycle: t},
 			"%d electrodes active for %d droplets", len(active), len(pos))
-		return false
+		return false, false
 	}
-	for _, f := range sortedFluids(pos) {
+	for _, f := range order {
 		p := pos[f]
 		if active[p] {
 			continue // hold
 		}
-		var next []arch.Point
+		var next arch.Point
+		n := 0
 		for _, delta := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			n := p.Add(delta[0], delta[1])
-			if active[n] {
-				next = append(next, n)
+			if q := p.Add(delta[0], delta[1]); active[q] {
+				next = q
+				n++
 			}
 		}
-		switch len(next) {
+		switch n {
 		case 1:
-			pos[f] = next[0]
-			r.touch(f, next[0], t)
+			pos[f] = next
+			moved = true
+			r.touch(f, next, t)
 			if r.recMoves {
-				r.curMoves = append(r.curMoves, Move{Cycle: t, Fluid: f, From: p, To: next[0]})
+				r.curMoves = append(r.curMoves, Move{Cycle: t, Fluid: f, From: p, To: next})
 			}
 		case 0:
 			r.errorf("BF107", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
 				"droplet %s at %v stranded: no active electrode in reach", f, p)
-			return false
+			return false, false
 		default:
 			r.errorf("BF107", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-				"droplet %s at %v torn between %d active electrodes", f, p, len(next))
-			return false
+				"droplet %s at %v torn between %d active electrodes", f, p, n)
+			return false, false
 		}
 	}
-	return true
+	return moved, true
 }
 
 // checkAdjacency reports every pair of distinct droplets violating the
 // static fluidic constraint at the end of a cycle, except pairs that merge
 // somewhere in this sequence. Each pair is reported once per sequence.
-func (r *replayer) checkAdjacency(scope string, t int, pos map[ir.FluidID]arch.Point, mates, seen map[[2]ir.FluidID]bool) {
-	fluids := sortedFluids(pos)
-	for i, a := range fluids {
-		for _, b := range fluids[i+1:] {
+// order lists the droplets of pos in canonical order.
+func (r *replayer) checkAdjacency(scope string, t int, pos map[ir.FluidID]arch.Point, order []ir.FluidID, mates, seen map[[2]ir.FluidID]bool) {
+	for i, a := range order {
+		pa := pos[a]
+		for _, b := range order[i+1:] {
+			pb := pos[b]
+			if !pa.Adjacent(pb) {
+				continue
+			}
 			key := [2]ir.FluidID{a, b}
 			if mates[key] || seen[key] {
 				continue
 			}
-			pa, pb := pos[a], pos[b]
-			if pa.Adjacent(pb) {
-				seen[key] = true
-				r.errorf("BF102", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: pa, HasCell: true},
-					"droplets %s (%v) and %s (%v) violate the fluidic constraint", a, pa, b, pb)
-			}
+			seen[key] = true
+			r.errorf("BF102", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: pa, HasCell: true},
+				"droplets %s (%v) and %s (%v) violate the fluidic constraint", a, pa, b, pb)
 		}
 	}
 }

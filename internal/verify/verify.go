@@ -433,5 +433,5 @@ func instrPos(b *cfg.Block, id int) Pos {
 }
 
 func edgeScope(from, to *cfg.Block) string {
-	return fmt.Sprintf("edge %s->%s", from.Label, to.Label)
+	return "edge " + from.Label + "->" + to.Label
 }
