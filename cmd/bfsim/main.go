@@ -9,6 +9,7 @@
 //	bfsim -assay "Probabilistic PCR" -seed 7 -range amp=0:1
 //	bfsim -file protocol.bio -print-trace -video run.txt -every 100
 //	bfsim -assay "PCR" -trace run.json -metrics -
+//	bfsim -exe pcr.bfx -assay "PCR" -seed 1 -metrics run.json
 //	bfsim -assay "PCR" -stick 4,7@2000 -recover recompile
 //	bfsim -assay "PCR" -stick 10,2@0 -slo 30m
 //
@@ -25,6 +26,10 @@
 // dead electrode and resumes from the last block-boundary checkpoint,
 // "restart" flushes and re-executes from the beginning. The -exe path
 // carries no source to recompile, so it always restarts.
+//
+// -exe FILE together with -assay NAME runs a saved executable of a
+// benchmark assay under that assay's sensor ranges and scenarios, so it
+// simulates exactly as the compiled assay does.
 package main
 
 import (
@@ -149,6 +154,11 @@ func main() {
 			fatal(err)
 		}
 		chip = prog.Chip
+		if *assayName != "" {
+			if assay = assays.ByName(*assayName); assay == nil {
+				fatal(fmt.Errorf("unknown assay %q (try bfc -list)", *assayName))
+			}
+		}
 	case *assayName != "":
 		assay = assays.ByName(*assayName)
 		if assay == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,6 +167,13 @@ func FuzzVerifyExecutable(f *testing.F) {
 			f.Fatalf("seed %d: save: %v", seed, err)
 		}
 		f.Add(buf.Bytes())
+		if seed == 0 {
+			// Two malformed inputs the decoder must reject, not crash on:
+			// a negative cycle count, and a track running past its
+			// sequence's declared cycles.
+			f.Add(corruptLine(f, buf.String(), "cycles ", func(string) string { return "cycles -1" }))
+			f.Add(corruptLine(f, buf.String(), "track ", func(l string) string { return l + " 0,0x100000" }))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, err := biocoder.Load(bytes.NewReader(data))
@@ -187,4 +195,19 @@ func FuzzVerifyExecutable(f *testing.F) {
 			t.Logf("diag: %s", d)
 		}
 	})
+}
+
+// corruptLine rewrites the first line of an encoded executable that starts
+// with prefix.
+func corruptLine(f *testing.F, exe, prefix string, repl func(string) string) []byte {
+	f.Helper()
+	lines := strings.Split(exe, "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, prefix) {
+			lines[i] = repl(l)
+			return []byte(strings.Join(lines, "\n"))
+		}
+	}
+	f.Fatalf("no %q line to corrupt", prefix)
+	return nil
 }

@@ -3,6 +3,7 @@ package codegen
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -162,17 +163,24 @@ func (gs *genState) startTrack(f ir.FluidID) {
 	gs.seq.Tracks[f] = &Track{Start: gs.now()}
 }
 
-// emitFrame records the current droplet positions as one actuation frame
-// and extends every live track.
-func (gs *genState) emitFrame() {
+// emitFrames records the current droplet positions as the actuation frame
+// of the next n cycles, one Frame value shared by all n (frames are
+// immutable once emitted), and extends every live track by n cells.
+func (gs *genState) emitFrames(n int) {
 	frame := make(Frame, 0, len(gs.pos))
 	for f, p := range gs.pos {
 		frame = append(frame, p)
 		tr := gs.seq.Tracks[f]
-		tr.Cells = append(tr.Cells, p)
+		tr.Cells = slices.Grow(tr.Cells, n)
+		for i := 0; i < n; i++ {
+			tr.Cells = append(tr.Cells, p)
+		}
 	}
 	sortFrame(frame)
-	gs.seq.Frames = append(gs.seq.Frames, frame)
+	gs.seq.Frames = slices.Grow(gs.seq.Frames, n)
+	for i := 0; i < n; i++ {
+		gs.seq.Frames = append(gs.seq.Frames, frame)
+	}
 }
 
 // finishItem applies the completion effects of an item: droplet creation
@@ -486,7 +494,7 @@ func (gs *genState) applyBurst(reqs []route.Request, res *route.Result) {
 		for _, r := range reqs {
 			gs.pos[r.ID] = res.Paths[r.ID][t]
 		}
-		gs.emitFrame()
+		gs.emitFrames(1)
 	}
 	for _, r := range reqs {
 		gs.pos[r.ID] = res.Paths[r.ID][res.Cycles]
@@ -494,20 +502,31 @@ func (gs *genState) applyBurst(reqs []route.Request, res *route.Result) {
 }
 
 // runSegment advances d cycles of operation patterns: mixes oscillate over
-// their interior cells, everything else holds position.
+// their interior cells, everything else holds position. A segment with no
+// oscillating mix is a hold, emitted as one frame shared by all d cycles.
 func (gs *genState) runSegment(schedStart, d int) {
-	for k := 0; k < d; k++ {
-		for f, it := range gs.own {
-			if it.IsStorage() || it.Instr.Kind != ir.Mix {
-				continue
-			}
-			cells := mixCellsOf(gs.chip, gs.bp.Assign[it])
-			if len(cells) < 2 {
-				continue
-			}
-			elapsed := schedStart + k - it.Start
-			gs.pos[f] = cells[elapsed%len(cells)]
+	type mixer struct {
+		f     ir.FluidID
+		start int
+		cells []arch.Point
+	}
+	var mixers []mixer
+	for f, it := range gs.own {
+		if it.IsStorage() || it.Instr.Kind != ir.Mix {
+			continue
 		}
-		gs.emitFrame()
+		if cells := mixCellsOf(gs.chip, gs.bp.Assign[it]); len(cells) >= 2 {
+			mixers = append(mixers, mixer{f: f, start: it.Start, cells: cells})
+		}
+	}
+	if len(mixers) == 0 {
+		gs.emitFrames(d)
+		return
+	}
+	for k := 0; k < d; k++ {
+		for _, m := range mixers {
+			gs.pos[m.f] = m.cells[(schedStart+k-m.start)%len(m.cells)]
+		}
+		gs.emitFrames(1)
 	}
 }

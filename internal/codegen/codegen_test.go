@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -401,3 +402,61 @@ func TestAnchorsOnDevices(t *testing.T) {
 }
 
 var _ = ir.FluidID{} // keep the import if assertions above change
+
+// handExecutable wraps one hand-built block sequence for Check.
+func handExecutable(t *testing.T, s *Sequence) *Executable {
+	t.Helper()
+	topo, err := place.BuildTopology(arch.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &cfg.Block{ID: 2, Label: "hand"}
+	return &Executable{Topo: topo, Blocks: map[int]*BlockCode{b.ID: {Block: b, Seq: s}}}
+}
+
+// holdSequence is one droplet held at (2,2) for n cycles under one shared
+// frame, the way codegen emits a hold.
+func holdSequence(n int) *Sequence {
+	p := arch.Point{X: 2, Y: 2}
+	frame := Frame{p}
+	s := &Sequence{NumCycles: n, Tracks: map[ir.FluidID]*Track{{Name: "a", Ver: 1}: {}}}
+	tr := s.Tracks[ir.FluidID{Name: "a", Ver: 1}]
+	for i := 0; i < n; i++ {
+		s.Frames = append(s.Frames, frame)
+		tr.Cells = append(tr.Cells, p)
+	}
+	return s
+}
+
+// Check skips hold cycles but not a frame that changes inside a hold: an
+// equal copy of the hold frame passes, a different frame fails at its own
+// cycle.
+func TestCheckFindsFrameChangeInsideHold(t *testing.T) {
+	s := holdSequence(10)
+	s.Frames[4] = Frame{{X: 2, Y: 2}} // equal, not shared
+	if err := handExecutable(t, s).Check(); err != nil {
+		t.Fatalf("equal frame rejected: %v", err)
+	}
+	s.Frames[5] = Frame{{X: 2, Y: 2}, {X: 9, Y: 9}}
+	err := handExecutable(t, s).Check()
+	if err == nil || !strings.Contains(err.Error(), "cycle 5:") {
+		t.Fatalf("Check error %v, want one at cycle 5", err)
+	}
+}
+
+// Check tests droplet spacing where either droplet moves, not only where
+// the two tracks start to overlap: b closes in on the held a, moving at
+// cycles 2, 4 and 5, and becomes adjacent at cycle 5.
+func TestCheckFindsAdjacencyAfterAMove(t *testing.T) {
+	s := holdSequence(8)
+	a := s.Frames[0][0]
+	cells := []arch.Point{{X: 6, Y: 2}, {X: 6, Y: 2}, {X: 5, Y: 2}, {X: 5, Y: 2}, {X: 4, Y: 2}, {X: 3, Y: 2}, {X: 3, Y: 2}, {X: 3, Y: 2}}
+	s.Tracks[ir.FluidID{Name: "b", Ver: 1}] = &Track{Cells: cells}
+	for i, c := range cells {
+		s.Frames[i] = Frame{a, c}
+	}
+	err := handExecutable(t, s).Check()
+	if err == nil || !strings.Contains(err.Error(), "adjacent at cycle 5") {
+		t.Fatalf("Check error %v, want adjacency at cycle 5", err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -363,8 +364,14 @@ func (d *decoder) decodeSeqBody(s *Sequence, bc *BlockCode, ec *EdgeCode) error 
 		}
 		switch fields[0] {
 		case "cycles":
+			if len(s.Tracks) > 0 {
+				return fmt.Errorf("cycles line after the tracks it bounds")
+			}
 			if s.NumCycles, err = strconv.Atoi(fields[1]); err != nil {
 				return err
+			}
+			if s.NumCycles < 0 {
+				return fmt.Errorf("negative cycle count %d", s.NumCycles)
 			}
 		case "entry", "exit":
 			if bc == nil {
@@ -403,6 +410,16 @@ func (d *decoder) decodeSeqBody(s *Sequence, bc *BlockCode, ec *EdgeCode) error 
 			if err != nil {
 				return err
 			}
+			// A track lies within the cycles declared before it, except
+			// the one-cell track pinning a droplet born at the sequence's
+			// final boundary, which starts at NumCycles.
+			room := s.NumCycles - start
+			if start == s.NumCycles {
+				room = 1
+			}
+			if start < 0 || room < 0 {
+				return fmt.Errorf("track %s starts at cycle %d, outside the sequence's %d cycles", f, start, s.NumCycles)
+			}
 			tr := &Track{Start: start}
 			for _, cell := range fields[3:] {
 				rep := 1
@@ -410,12 +427,19 @@ func (d *decoder) decodeSeqBody(s *Sequence, bc *BlockCode, ec *EdgeCode) error 
 					if rep, err = strconv.Atoi(cell[x+1:]); err != nil {
 						return err
 					}
+					if rep < 1 {
+						return fmt.Errorf("track %s: bad run length %d", f, rep)
+					}
 					cell = cell[:x]
 				}
 				p, err := decPoint(cell)
 				if err != nil {
 					return err
 				}
+				if rep > room-len(tr.Cells) {
+					return fmt.Errorf("track %s runs past the sequence's %d cycles", f, s.NumCycles)
+				}
+				tr.Cells = slices.Grow(tr.Cells, rep)
 				for i := 0; i < rep; i++ {
 					tr.Cells = append(tr.Cells, p)
 				}
@@ -504,17 +528,27 @@ func decodeEvent(fields []string) (Event, error) {
 }
 
 // rebuildFrames reconstructs the frame stream as the per-cycle union of
-// track positions, exactly inverting the generator's emitFrame.
+// track positions, exactly inverting the generator's emitFrames. A frame is
+// built only at a cycle where some track starts, ends or moves; the cycles
+// up to the next such cycle share it, as the generator's holds do.
 func rebuildFrames(s *Sequence) {
+	_, changes := trackChanges(s)
 	s.Frames = make([]Frame, s.NumCycles)
+	var frame Frame
+	ci := 0
 	for t := 0; t < s.NumCycles; t++ {
-		var frame Frame
-		for _, tr := range s.Tracks {
-			if t >= tr.Start && t < tr.End() {
-				frame = append(frame, tr.Cells[t-tr.Start])
-			}
+		for ci < len(changes) && changes[ci] < t {
+			ci++
 		}
-		sortFrame(frame)
+		if t == 0 || ci < len(changes) && changes[ci] == t {
+			frame = nil
+			for _, tr := range s.Tracks {
+				if t >= tr.Start && t < tr.End() {
+					frame = append(frame, tr.Cells[t-tr.Start])
+				}
+			}
+			sortFrame(frame)
+		}
 		s.Frames[t] = frame
 	}
 }

@@ -19,9 +19,10 @@ import (
 //	biocoder-executable v1
 //	[chip]        — the arch config format
 //	[graph]       — blocks, φ-functions, instructions, branches, edges
-//	[code ...]    — per block/edge: droplet tracks (run-length encoded)
-//	                and structural events; frames are reconstructed as
-//	                the per-cycle union of track positions, which
+//	[code ...]    — per block/edge: the cycle count, then droplet tracks
+//	                (run-length encoded, within the cycle count) and
+//	                structural events; frames are reconstructed as the
+//	                per-cycle union of track positions, which
 //	                Executable.Check guarantees is exactly the frame set
 //	[end]
 //

@@ -188,6 +188,65 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// A sequence's declared cycle count bounds what its tracks may claim: a
+// negative count, a track running past the count, or a count declared
+// after the tracks is a decode error (they used to panic, or be silently
+// cut off).
+func TestDecodeRejectsBadCycleSpans(t *testing.T) {
+	ex := compileExt(t, arch.Default(), func(bs *lang.BioSystem) {
+		f := bs.NewFluid("F", 5)
+		c := bs.NewContainer("c")
+		bs.MeasureFluid(f, c)
+		bs.StoreFor(c, 95, time.Second)
+		bs.Drain(c, "")
+	})
+	var buf bytes.Buffer
+	if err := codegen.Encode(&buf, ex); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(t *testing.T, s string) string
+	}{
+		{"negative cycles", "negative cycle count", func(t *testing.T, s string) string {
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "cycles" && f[1] != "0" },
+				func([]string) string { return "cycles -1" })
+		}},
+		{"track past cycles", "runs past", func(t *testing.T, s string) string {
+			// The assay lasts a few hundred cycles.
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "track" && len(f) > 3 },
+				func(f []string) string {
+					return strings.Join(f, " ") + " " + strings.Split(f[len(f)-1], "x")[0] + "x100000"
+				})
+		}},
+		{"cycles after tracks", "after the tracks", func(t *testing.T, s string) string {
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "track" },
+				func(f []string) string { return strings.Join(f, " ") + "\ncycles 1" })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := codegen.Decode(strings.NewReader(tc.corrupt(t, buf.String())))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode error %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// replaceLine rewrites the first line whose fields satisfy match.
+func replaceLine(t *testing.T, s string, match func([]string) bool, repl func([]string) string) string {
+	t.Helper()
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		if f := strings.Fields(l); len(f) > 1 && match(f) {
+			lines[i] = repl(f)
+			return strings.Join(lines, "\n")
+		}
+	}
+	t.Fatal("no line to corrupt")
+	return s
+}
+
 func TestRLETrackEncoding(t *testing.T) {
 	// A long hold must encode compactly.
 	ex := compileExt(t, arch.Default(), func(bs *lang.BioSystem) {

@@ -3,7 +3,9 @@ package codegen
 import (
 	"context"
 	"fmt"
+	"sort"
 
+	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
 	"biocoder/internal/ir"
 	"biocoder/internal/obs"
@@ -127,11 +129,26 @@ func (ex *Executable) Check() error {
 	return nil
 }
 
+// checkSequence validates one sequence. Every property it checks can only
+// change at a cycle where a track starts, ends or moves, or where the frame
+// changes, so it checks those cycles alone: the first failing cycle is
+// always one of them, and the error names the same cycle a cycle-by-cycle
+// check would.
 func checkSequence(s *Sequence, ex *Executable) error {
 	chip := ex.Topo.Chip
-	// Track continuity and bounds.
+	if len(s.Frames) != s.NumCycles {
+		return fmt.Errorf("sequence declares %d cycles but carries %d frames", s.NumCycles, len(s.Frames))
+	}
+	// Track continuity and bounds, checked where a droplet enters a cell:
+	// at the start of its track and at each move.
+	moves, changes := trackChanges(s)
 	for f, tr := range s.Tracks {
-		for i, c := range tr.Cells {
+		if len(tr.Cells) == 0 {
+			continue
+		}
+		for _, t := range append([]int{tr.Start}, moves[f]...) {
+			i := t - tr.Start
+			c := tr.Cells[i]
 			if !chip.InBounds(c) {
 				return fmt.Errorf("droplet %s off chip at %v", f, c)
 			}
@@ -144,19 +161,27 @@ func checkSequence(s *Sequence, ex *Executable) error {
 		}
 	}
 	// Frames must equal the union of track positions cycle by cycle.
+	want := map[arch.Point]bool{}
+	ci := 0
 	for t := 0; t < s.NumCycles; t++ {
-		want := map[[2]int]bool{}
+		for ci < len(changes) && changes[ci] < t {
+			ci++
+		}
+		trackChange := ci < len(changes) && changes[ci] == t
+		if t > 0 && !trackChange && SameFrame(s.Frames[t-1], s.Frames[t]) {
+			continue
+		}
+		clear(want)
 		for _, tr := range s.Tracks {
 			if t >= tr.Start && t < tr.End() {
-				c := tr.Cells[t-tr.Start]
-				want[[2]int{c.X, c.Y}] = true
+				want[tr.Cells[t-tr.Start]] = true
 			}
 		}
 		if len(want) != len(s.Frames[t]) {
 			return fmt.Errorf("cycle %d: frame has %d electrodes, tracks say %d", t, len(s.Frames[t]), len(want))
 		}
 		for _, c := range s.Frames[t] {
-			if !want[[2]int{c.X, c.Y}] {
+			if !want[c] {
 				return fmt.Errorf("cycle %d: electrode %v active with no droplet", t, c)
 			}
 		}
@@ -184,9 +209,10 @@ func checkSequence(s *Sequence, ex *Executable) error {
 				continue
 			}
 			ta, tb := s.Tracks[a], s.Tracks[b]
-			lo := max(ta.Start, tb.Start)
 			hi := min(ta.End(), tb.End())
-			for t := lo; t < hi; t++ {
+			// The pair's distance changes only where one of the two
+			// moves: check the first shared cycle and each such move.
+			for t := max(ta.Start, tb.Start); t < hi; t = nextMove(t, hi, moves[a], moves[b]) {
 				pa := ta.Cells[t-ta.Start]
 				pb := tb.Cells[t-tb.Start]
 				if pa.Adjacent(pb) {
@@ -196,6 +222,17 @@ func checkSequence(s *Sequence, ex *Executable) error {
 		}
 	}
 	return nil
+}
+
+// nextMove returns the first cycle after t and before hi listed in any of
+// the ascending move lists, or hi.
+func nextMove(t, hi int, lists ...[]int) int {
+	for _, mv := range lists {
+		if i := sort.SearchInts(mv, t+1); i < len(mv) && mv[i] < hi {
+			hi = mv[i]
+		}
+	}
+	return hi
 }
 
 func max(a, b int) int {

@@ -13,6 +13,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,7 +23,33 @@ import (
 
 // Frame is the set of activated electrodes during one cycle, sorted
 // row-major for determinism.
+//
+// Frames are immutable once emitted. A hold — cycles in which no droplet
+// moves and no mix oscillates — is one Frame value shared by every cycle of
+// the hold, and folding, decoding and the block memo share frames across
+// cycles and sequences too, so writing into a frame would rewrite every
+// cycle that shares it.
 type Frame []arch.Point
+
+// SameFrame reports whether frame b activates exactly the electrodes of
+// frame a, cell for cell. It is the one definition of "this frame repeats
+// the previous one": every walker that skips hold cycles asks it. Cycles of
+// one hold share a frame, so identity answers most calls; frames built
+// elsewhere are compared by content.
+func SameFrame(a, b Frame) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
 
 func sortFrame(f Frame) {
 	sort.Slice(f, func(i, j int) bool {
@@ -130,7 +157,40 @@ func (tr *Track) At(t int) arch.Point {
 	return tr.Cells[i]
 }
 
+// trackChanges returns, per droplet, the cycles at which its track moves
+// to another cell, and, ascending and without repeats, every cycle at
+// which some track starts, ends or moves. Between two such cycles the
+// droplet positions the tracks claim do not change.
+func trackChanges(s *Sequence) (moves map[ir.FluidID][]int, changes []int) {
+	moves = make(map[ir.FluidID][]int, len(s.Tracks))
+	n := 0
+	for f, tr := range s.Tracks {
+		var mv []int
+		for i := 1; i < len(tr.Cells); i++ {
+			if tr.Cells[i] != tr.Cells[i-1] {
+				mv = append(mv, tr.Start+i)
+			}
+		}
+		moves[f] = mv
+		n += 2 + len(mv)
+	}
+	// Sized up front: appending the tracks' uneven runs in map order
+	// would make the allocation vary from run to run.
+	changes = make([]int, 0, n)
+	for f, tr := range s.Tracks {
+		changes = append(changes, tr.Start, tr.End())
+		changes = append(changes, moves[f]...)
+	}
+	slices.Sort(changes)
+	return moves, slices.Compact(changes)
+}
+
 // Sequence is one electrode activation sequence Σ with its annotations.
+//
+// A hold cycle is a cycle t > 0 whose frame is SameFrame as the frame of
+// cycle t-1, with no event at cycle t. Every droplet stays where it was, so
+// nothing derived from the frame or the droplet positions changes, and the
+// interpreters and checkers skip such cycles.
 type Sequence struct {
 	NumCycles int
 	Frames    []Frame

@@ -117,14 +117,19 @@ func seqCells(set map[arch.Point]bool, s *codegen.Sequence) {
 	if s == nil {
 		return
 	}
-	for _, f := range s.Frames {
+	for i, f := range s.Frames {
+		if i > 0 && codegen.SameFrame(s.Frames[i-1], f) {
+			continue
+		}
 		for _, c := range f {
 			set[c] = true
 		}
 	}
 	for _, tr := range s.Tracks {
-		for _, c := range tr.Cells {
-			set[c] = true
+		for i, c := range tr.Cells {
+			if i == 0 || c != tr.Cells[i-1] {
+				set[c] = true
+			}
 		}
 	}
 	for _, ev := range s.Events {

@@ -376,17 +376,27 @@ func copyCells(cs []arch.Point) []arch.Point {
 	return append([]arch.Point(nil), cs...)
 }
 
+// copyFrames deep-copies a frame stream, copying each run of repeated
+// frames once and sharing the copy across the run as codegen does.
+func copyFrames(fs []codegen.Frame) []codegen.Frame {
+	out := make([]codegen.Frame, len(fs))
+	for i, f := range fs {
+		if i > 0 && codegen.SameFrame(fs[i-1], f) {
+			out[i] = out[i-1]
+		} else {
+			out[i] = append(codegen.Frame(nil), f...)
+		}
+	}
+	return out
+}
+
 // copySequence deep-copies a sequence without renaming (Store's pristine
 // snapshot).
 func copySequence(s *codegen.Sequence) *codegen.Sequence {
 	if s == nil {
 		return nil
 	}
-	out := &codegen.Sequence{NumCycles: s.NumCycles, Tracks: map[ir.FluidID]*codegen.Track{}}
-	out.Frames = make([]codegen.Frame, len(s.Frames))
-	for i, f := range s.Frames {
-		out.Frames[i] = append(codegen.Frame(nil), f...)
-	}
+	out := &codegen.Sequence{NumCycles: s.NumCycles, Frames: copyFrames(s.Frames), Tracks: map[ir.FluidID]*codegen.Track{}}
 	out.Events = make([]codegen.Event, len(s.Events))
 	for i, ev := range s.Events {
 		c := ev
@@ -407,11 +417,7 @@ func translateSequence(s *codegen.Sequence, sigma map[ir.FluidID]ir.FluidID, idM
 	if s == nil {
 		return nil, true
 	}
-	out := &codegen.Sequence{NumCycles: s.NumCycles, Tracks: map[ir.FluidID]*codegen.Track{}}
-	out.Frames = make([]codegen.Frame, len(s.Frames))
-	for i, f := range s.Frames {
-		out.Frames[i] = append(codegen.Frame(nil), f...)
-	}
+	out := &codegen.Sequence{NumCycles: s.NumCycles, Frames: copyFrames(s.Frames), Tracks: map[ir.FluidID]*codegen.Track{}}
 	mapAll := func(fs []ir.FluidID) ([]ir.FluidID, bool) {
 		outs := make([]ir.FluidID, len(fs))
 		for i, f := range fs {

@@ -298,6 +298,10 @@ type machine struct {
 	cellSlot map[arch.Point]int
 	vs       *obs.VisitSample
 	sm       *obs.SeqMetrics
+	// held counts the hold cycles executed since the last recorded cycle,
+	// all of frame heldFrame; they are recorded as one batch by flushHeld.
+	held      int
+	heldFrame codegen.Frame
 
 	// Process-wide registry handles (nil when Options.Registry is off),
 	// pre-resolved so the per-cycle path never performs a registry lookup.
@@ -341,34 +345,46 @@ func (m *machine) touch(n int) {
 	}
 }
 
-// recordCycle folds one executed frame into the telemetry counters.
-func (m *machine) recordCycle(f codegen.Frame) {
+// recordCycles folds k executed cycles of frame f into the telemetry
+// counters, all with the current droplet population and positions.
+func (m *machine) recordCycles(f codegen.Frame, k int) {
 	met := m.met
-	met.Cycles++
-	met.Actuations += len(f)
-	met.ActiveHist[len(f)]++
+	met.Cycles += k
+	met.Actuations += k * len(f)
+	met.ActiveHist[len(f)] += k
 	for _, c := range f {
-		met.Heat[c.Y][c.X]++
+		met.Heat[c.Y][c.X] += k
 	}
 	n := len(m.droplets)
-	met.DropletCycles += n
-	met.DropletHist[n]++
+	met.DropletCycles += k * n
+	met.DropletHist[n] += k
 	if n > met.MaxDroplets {
 		met.MaxDroplets = n
 	}
 	if m.cellSlot != nil {
 		for _, d := range m.droplets {
 			if si, ok := m.cellSlot[d.Pos]; ok {
-				met.ModuleOccupancy[si]++
+				met.ModuleOccupancy[si] += k
 			}
 		}
 	}
-	m.sm.Cycles++
-	m.sm.Actuations += len(f)
-	m.vs.Cycles++
-	m.vs.Actuations += len(f)
+	m.sm.Cycles += k
+	m.sm.Actuations += k * len(f)
+	m.vs.Cycles += k
+	m.vs.Actuations += k * len(f)
 	if n > m.vs.MaxDroplets {
 		m.vs.MaxDroplets = n
+	}
+}
+
+// flushHeld records the pending hold cycles. It must run before anything
+// reads the telemetry and before the droplet population or positions
+// change: a hold changes neither, so the batch records exactly what the
+// cycles would have recorded one by one.
+func (m *machine) flushHeld() {
+	if m.held > 0 {
+		m.recordCycles(m.heldFrame, m.held)
+		m.held = 0
 	}
 }
 
@@ -388,7 +404,10 @@ func (m *machine) runSequence(s *codegen.Sequence, label string, isEdge bool) er
 			// of the entry contract at cycle 0 of the sequence.
 			m.touch(len(m.droplets))
 		}
-		defer func() { m.vs, m.sm = nil, nil }()
+		defer func() {
+			m.flushHeld()
+			m.vs, m.sm = nil, nil
+		}()
 	}
 	evIdx := 0
 	applyEvents := func(cycle int) error {
@@ -401,11 +420,21 @@ func (m *machine) runSequence(s *codegen.Sequence, label string, isEdge bool) er
 		return nil
 	}
 	for t := 0; t < s.NumCycles; t++ {
+		f := s.Frames[t]
+		// A hold cycle with no droplet loss due leaves every droplet on
+		// the active cell it already occupies, so it records what the
+		// cycle before it recorded: telemetry counts the run and records
+		// it once.
+		hold := m.met != nil && t > 0 && (evIdx == len(s.Events) || s.Events[evIdx].Cycle != t) &&
+			!m.faultDue() && codegen.SameFrame(s.Frames[t-1], f)
+		if !hold {
+			m.flushHeld()
+		}
 		if err := applyEvents(t); err != nil {
 			return err
 		}
 		m.injectFaults()
-		if err := m.applyFrame(s.Frames[t], label, t); err != nil {
+		if err := m.applyFrame(f, label, t); err != nil {
 			return m.failAt(label, err)
 		}
 		if m.residue != nil {
@@ -415,14 +444,19 @@ func (m *machine) runSequence(s *codegen.Sequence, label string, isEdge bool) er
 		}
 		m.res.Cycles++
 		if m.ds != nil {
-			m.ds.advance(s.Frames[t])
+			m.ds.advance(f)
 		}
 		if m.met != nil {
-			m.recordCycle(s.Frames[t])
+			if hold {
+				m.held++
+				m.heldFrame = f
+			} else {
+				m.recordCycles(f, 1)
+			}
 		}
 		if m.simCycles != nil {
 			m.simCycles.Inc()
-			m.simActs.Add(int64(len(s.Frames[t])))
+			m.simActs.Add(int64(len(f)))
 			m.simDrops.Set(int64(len(m.droplets)))
 		}
 		if m.res.Cycles > m.opts.MaxCycles {
@@ -434,12 +468,15 @@ func (m *machine) runSequence(s *codegen.Sequence, label string, isEdge bool) er
 			}
 		}
 		if m.opts.FrameHook != nil {
-			m.opts.FrameHook(m.res.Cycles, label, s.Frames[t], m.dropletList())
+			m.flushHeld()
+			m.opts.FrameHook(m.res.Cycles, label, f, m.dropletList())
 		}
 		if m.opts.MetricsHook != nil && m.met != nil {
+			m.flushHeld()
 			m.opts.MetricsHook(m.res.Cycles, m.met)
 		}
 	}
+	m.flushHeld()
 	return applyEvents(s.NumCycles)
 }
 

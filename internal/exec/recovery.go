@@ -437,19 +437,21 @@ func errAsLoss(err error) (*lossSignal, bool) {
 	return nil, false
 }
 
+// faultDue reports whether injectFaults would take a droplet this cycle.
+func (m *machine) faultDue() bool {
+	return len(m.opts.faults) > 0 && m.res.Cycles >= m.opts.faults[0].Cycle && len(m.droplets) > 0
+}
+
 // injectFaults applies due faults before a frame: the chosen droplet
 // silently vanishes, exactly like a dielectric breakdown would take it.
 // Victim selection follows the Fault doc: nearest to the fault cell by
 // Manhattan distance, ties broken by droplet ID name, then SSI version —
 // fully deterministic.
 func (m *machine) injectFaults() {
-	if len(m.opts.faults) == 0 {
+	if !m.faultDue() {
 		return
 	}
 	f := m.opts.faults[0]
-	if m.res.Cycles < f.Cycle || len(m.droplets) == 0 {
-		return
-	}
 	ids := make([]ir.FluidID, 0, len(m.droplets))
 	for id := range m.droplets {
 		ids = append(ids, id)

@@ -8,8 +8,9 @@ import (
 
 // Metrics is the cycle-accurate runtime telemetry of one simulated
 // execution, collected by the exec machine when telemetry is enabled.
-// All counters are exact (no sampling): the simulator already visits
-// every frame, so collection is a handful of integer updates per cycle.
+// All counters are exact (no sampling): collection is a handful of integer
+// updates per cycle, and the simulator records a run of hold cycles, which
+// all record the same, once times its length.
 //
 // Touches counts droplet arrivals — a droplet is "touched" onto an
 // electrode when it is created there (dispense, split, merge), renamed,

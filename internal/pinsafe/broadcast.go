@@ -90,6 +90,12 @@ func (v *bcastVerifier) sequence(si seqInfo) {
 			order = sortedFluids(bpos)
 		}
 		frame := s.Frames[t]
+		if t > 0 && !fired && (mi >= len(moves) || moves[mi].Cycle > t) && codegen.SameFrame(s.Frames[t-1], frame) {
+			// A hold cycle with no baseline move: the closure is the last
+			// cycle's, under which every droplet held where the baseline
+			// has it, so it holds again.
+			continue
+		}
 		clear(active)
 		for _, c := range frame {
 			active[c] = true

@@ -179,10 +179,12 @@ func (a *Analysis) scan(si seqInfo) {
 	inFrame := map[arch.Point]bool{}
 	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
 		frame := s.Frames[t]
-		for _, c := range frame {
-			if !a.usedSet[c] {
-				a.usedSet[c] = true
-				a.used = append(a.used, c)
+		if t == 0 || !codegen.SameFrame(s.Frames[t-1], frame) {
+			for _, c := range frame {
+				if !a.usedSet[c] {
+					a.usedSet[c] = true
+					a.used = append(a.used, c)
+				}
 			}
 		}
 		if mi >= len(moves) || moves[mi].Cycle > t {

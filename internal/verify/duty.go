@@ -72,30 +72,40 @@ func (c *context) checkDuty() {
 
 // dutySequence reports each electrode of s whose longest continuous
 // actuation streak exceeds limit cycles (one diagnostic per electrode, at
-// its worst streak).
+// its worst streak). A run of identical frames extends every streak it
+// touches by the run's length in one step.
 func (c *context) dutySequence(s *codegen.Sequence, where string, limit int) {
 	if s == nil {
 		return
 	}
-	run := map[[2]int]int{}   // cell -> current streak
+	// streak is a cell's current streak, counting each cycle once per
+	// occurrence of the cell in the frame; end is the cycle after the last
+	// run that actuated it.
+	type duty struct{ streak, end int }
+	cur := map[[2]int]duty{}
 	worst := map[[2]int]int{} // cell -> longest streak seen
 	// Trust len(Frames) over NumCycles: a malformed sequence declaring more
 	// cycles than it has frames is BF101's finding, not a reason to crash.
-	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
-		seen := map[[2]int]bool{}
+	n := min(s.NumCycles, len(s.Frames))
+	for t := 0; t < n; {
+		next := t + 1
+		for next < n && codegen.SameFrame(s.Frames[t], s.Frames[next]) {
+			next++
+		}
 		for _, cell := range s.Frames[t] {
 			k := [2]int{cell.X, cell.Y}
-			seen[k] = true
-			run[k]++
-			if run[k] > worst[k] {
-				worst[k] = run[k]
+			d := cur[k]
+			if d.end != t && d.end != next {
+				d.streak = 0 // idle at cycle t-1: a new streak starts
+			}
+			d.streak += next - t
+			d.end = next
+			cur[k] = d
+			if d.streak > worst[k] {
+				worst[k] = d.streak
 			}
 		}
-		for k := range run {
-			if !seen[k] {
-				delete(run, k)
-			}
-		}
+		t = next
 	}
 	cells := make([][2]int, 0, len(worst))
 	for k, streak := range worst {

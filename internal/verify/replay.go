@@ -325,6 +325,11 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 		if !ok {
 			return nil
 		}
+		if t > 0 && !fired && codegen.SameFrame(s.Frames[t-1], s.Frames[t]) {
+			// A hold cycle: the last frame left every droplet on an
+			// active cell, so under the same frame every droplet holds.
+			continue
+		}
 		moved, ok := r.applyFrame(scope, s.Frames[t], t, pos, order, active)
 		if !ok {
 			return nil
@@ -354,6 +359,9 @@ func (r *replayer) scanStatic(scope string, s *codegen.Sequence) bool {
 	}
 	badCell := map[arch.Point]bool{}
 	for t := 0; t < len(s.Frames) && t < s.NumCycles; t++ {
+		if t > 0 && codegen.SameFrame(s.Frames[t-1], s.Frames[t]) {
+			continue // every cell was checked, and reported, last cycle
+		}
 		for _, cell := range s.Frames[t] {
 			if badCell[cell] {
 				continue
