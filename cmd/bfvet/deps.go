@@ -92,6 +92,7 @@ func runDeps(args []string, stdout, stderr io.Writer) int {
 			t := jsonTarget{Name: j.name}
 			depsJSON(&t, res)
 			targets = append(targets, t)
+			passTimes(stderr, j.name, res.Report)
 		} else {
 			printDeps(stdout, j.name, res)
 		}
@@ -164,7 +165,6 @@ func fluidNames(fs []ir.FluidID) []string {
 // depsJSON folds a dependency analysis result into a target record.
 func depsJSON(t *jsonTarget, res *depgraph.Result) {
 	t.Diags = diagsJSON(res.Report)
-	t.Passes = passesJSON(res.Report)
 	for _, s := range res.Summaries {
 		t.Blocks = append(t.Blocks, jsonBlockSummary{
 			Block:          s.Block,

@@ -6,6 +6,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"biocoder/internal/analysis"
@@ -52,12 +53,6 @@ type jsonWash struct {
 	TourCycles int    `json:"tourCycles,omitempty"`
 }
 
-// jsonPass is the wall-clock cost of one verification or analysis pass.
-type jsonPass struct {
-	Name   string `json:"name"`
-	Micros int64  `json:"micros"`
-}
-
 // jsonPins summarizes a pin-safety analysis: how many electrodes the assay
 // actuates, how constrained they are, and how many pins suffice.
 type jsonPins struct {
@@ -95,7 +90,6 @@ type jsonTarget struct {
 	Name        string             `json:"name"`
 	Error       string             `json:"error,omitempty"`
 	Diags       []jsonDiag         `json:"diagnostics"`
-	Passes      []jsonPass         `json:"passes,omitempty"`
 	Timing      *jsonTiming        `json:"timing,omitempty"`
 	Outputs     []jsonOutput       `json:"outputs,omitempty"`
 	Hazards     int                `json:"hazards,omitempty"`
@@ -135,19 +129,18 @@ func diagsJSON(rep *verify.Report) []jsonDiag {
 	return out
 }
 
-// passesJSON renders the pass-level wall-clock accounting of a report.
-func passesJSON(rep *verify.Report) []jsonPass {
-	out := make([]jsonPass, 0, len(rep.PassTimes))
+// passTimes writes the wall-clock cost of each pass of a report to w, one
+// line per pass. It stays out of the JSON document, so two runs over the
+// same input print the same document.
+func passTimes(w io.Writer, name string, rep *verify.Report) {
 	for _, pt := range rep.PassTimes {
-		out = append(out, jsonPass{Name: pt.Name, Micros: pt.Duration.Microseconds()})
+		fmt.Fprintf(w, "bfvet: %s: pass %s took %dµs\n", name, pt.Name, pt.Duration.Microseconds())
 	}
-	return out
 }
 
 // pinsJSON folds a pin-safety result into a target record.
 func pinsJSON(t *jsonTarget, res *pinsafe.Result, rep *verify.Report) {
 	t.Diags = diagsJSON(rep)
-	t.Passes = passesJSON(rep)
 	t.Pins = &jsonPins{
 		Electrodes:        res.Electrodes,
 		InterferenceEdges: len(res.Conflicts),
@@ -160,7 +153,6 @@ func pinsJSON(t *jsonTarget, res *pinsafe.Result, rep *verify.Report) {
 // analysisJSON folds an analysis result into a target record.
 func analysisJSON(t *jsonTarget, res *analysis.Result) {
 	t.Diags = diagsJSON(res.Report)
-	t.Passes = passesJSON(res.Report)
 	if res.Timing != nil {
 		jt := &jsonTiming{
 			BestCycles:  res.Timing.BestCycles,

@@ -181,7 +181,8 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 	var targets []jsonTarget
 	report := func(name string, rep *verify.Report) {
 		if *asJSON {
-			targets = append(targets, jsonTarget{Name: name, Diags: diagsJSON(rep), Passes: passesJSON(rep)})
+			targets = append(targets, jsonTarget{Name: name, Diags: diagsJSON(rep)})
+			passTimes(stderr, name, rep)
 		} else {
 			for _, d := range rep.Diags {
 				fmt.Fprintf(stdout, "%s: %s\n", name, d)
@@ -324,6 +325,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 			t := jsonTarget{Name: j.name}
 			analysisJSON(&t, res)
 			targets = append(targets, t)
+			passTimes(stderr, j.name, res.Report)
 		} else {
 			printAnalysis(stdout, j.name, res)
 		}
@@ -441,6 +443,7 @@ func runPins(args []string, stdout, stderr io.Writer) int {
 			t := jsonTarget{Name: j.name}
 			pinsJSON(&t, res, rep)
 			targets = append(targets, t)
+			passTimes(stderr, j.name, rep)
 		} else {
 			for _, d := range rep.Diags {
 				fmt.Fprintf(stdout, "%s: %s\n", j.name, d)

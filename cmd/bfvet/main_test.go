@@ -225,11 +225,37 @@ func TestPinsJSON(t *testing.T) {
 	if !tgt.Pins.Derived || tgt.Pins.MapPins != tgt.Pins.MinPins {
 		t.Errorf("derived map should use exactly the minimum pins: %+v", tgt.Pins)
 	}
-	if len(tgt.Passes) == 0 {
-		t.Error("no pass timings in JSON")
+	if !strings.Contains(stderr.String(), ": pass ") {
+		t.Errorf("no pass timings on stderr:\n%s", stderr.String())
 	}
 	if len(tgt.Diags) != 0 {
 		t.Errorf("derived map has diagnostics: %+v", tgt.Diags)
+	}
+}
+
+// Pass timings go to stderr, so every -json document is the same from one
+// run to the next.
+func TestJSONDeterministic(t *testing.T) {
+	for _, args := range [][]string{
+		{"-json", "-assay", "PCR"},
+		{"analyze", "-json", "-assay", "PCR"},
+		{"pins", "-json", "-assay", "PCR"},
+		{"deps", "-json", "-assay", "PCR"},
+	} {
+		var outs [2]string
+		for i := range outs {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%v: exit %d, stderr:\n%s", args, code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), ": pass ") {
+				t.Errorf("%v: no pass timings on stderr:\n%s", args, stderr.String())
+			}
+			outs[i] = stdout.String()
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%v: two runs print different documents:\n%s\n---\n%s", args, outs[0], outs[1])
+		}
 	}
 }
 

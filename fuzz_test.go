@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"biocoder"
+	"biocoder/internal/assays"
 	"biocoder/internal/verify"
 )
 
@@ -175,6 +178,8 @@ func FuzzVerifyExecutable(f *testing.F) {
 			f.Add(corruptLine(f, buf.String(), "track ", func(l string) string { return l + " 0,0x100000" }))
 		}
 	}
+	_, stretched := stretchedPCR(f)
+	f.Add(stretched)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, err := biocoder.Load(bytes.NewReader(data))
 		if err != nil {
@@ -195,6 +200,95 @@ func FuzzVerifyExecutable(f *testing.F) {
 			t.Logf("diag: %s", d)
 		}
 	})
+}
+
+// stretchedCycles is the cycle count stretchedPCR declares.
+const stretchedCycles = 10_000_000
+
+// stretchedPCR returns the PCR assay's saved executable and a copy whose
+// first non-empty block declares stretchedCycles cycles, with the track
+// that lasted to the block's old end stretched over them by one run-length
+// token: a few bytes more of file, thousands of times the cycles.
+func stretchedPCR(tb testing.TB) (orig, stretched []byte) {
+	tb.Helper()
+	prog, err := biocoder.Compile(assays.PCR().Build(), biocoder.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := prog.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	old := 0
+	for i, l := range lines {
+		f := strings.Fields(l)
+		switch {
+		case old == 0 && len(f) == 2 && f[0] == "cycles" && f[1] != "0":
+			old, _ = strconv.Atoi(f[1])
+			lines[i] = fmt.Sprintf("cycles %d", stretchedCycles)
+		case old > 0 && len(f) > 3 && f[0] == "track" && trackEnd(tb, f) == old:
+			last := f[len(f)-1]
+			if x := strings.IndexByte(last, 'x'); x >= 0 {
+				last = last[:x]
+			}
+			lines[i] = fmt.Sprintf("%s %sx%d", l, last, stretchedCycles-old)
+			return buf.Bytes(), []byte(strings.Join(lines, "\n"))
+		}
+	}
+	tb.Fatal("no track lasts to the end of the first non-empty block")
+	return nil, nil
+}
+
+// trackEnd returns the cycle after the track of a "track" line's fields.
+func trackEnd(tb testing.TB, f []string) int {
+	end, err := strconv.Atoi(f[2])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, tok := range f[3:] {
+		n := 1
+		if x := strings.IndexByte(tok, 'x'); x >= 0 {
+			if n, err = strconv.Atoi(tok[x+1:]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		end += n
+	}
+	return end
+}
+
+// loadBytes returns the bytes Load allocates for data, averaged over three
+// calls after a warm-up.
+func loadBytes(t *testing.T, data []byte) float64 {
+	t.Helper()
+	load := func() {
+		if _, err := biocoder.Load(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3; i++ {
+		load()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / 3
+}
+
+// loadByteSlack is how many more bytes Load may allocate for the stretched
+// PCR executable than for the original. Decoding it once took 383 MiB:
+// one frame slot and one track cell per declared cycle.
+const loadByteSlack = 64 << 10
+
+// Decode's memory follows the file, not the cycle counts it declares.
+func TestLoadBoundedByFile(t *testing.T) {
+	orig, stretched := stretchedPCR(t)
+	a, b := loadBytes(t, orig), loadBytes(t, stretched)
+	if b > a+loadByteSlack {
+		t.Errorf("Load allocates %.0f bytes for PCR and %.0f declaring %d cycles (slack %d)", a, b, stretchedCycles, loadByteSlack)
+	}
 }
 
 // corruptLine rewrites the first line of an encoded executable that starts

@@ -21,6 +21,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -98,7 +99,7 @@ func newSeqNode(scope string, touches []verify.Touch) *seqNode {
 		ss[i].first = min(ss[i].first, t.Cycle)
 		ss[i].last = max(ss[i].last, t.Cycle)
 	}
-	sortRowMajor(n.cells)
+	slices.SortFunc(n.cells, arch.Point.Compare)
 	return n
 }
 
@@ -141,7 +142,7 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 		for c := range carrierCells[scope] {
 			cells = append(cells, c)
 		}
-		sortRowMajor(cells)
+		slices.SortFunc(cells, arch.Point.Compare)
 		sug := WashSuggestion{After: scope, Cells: cells}
 		if tour, err := wash.Plan(u.Chip, cells, nil); err == nil && len(tour.Skipped) == 0 {
 			sug.TourCycles = tour.Cycles()
@@ -357,16 +358,6 @@ func subtract(a, b map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// sortRowMajor orders cells by row (Y), then column (X).
-func sortRowMajor(cells []arch.Point) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Y != cells[j].Y {
-			return cells[i].Y < cells[j].Y
-		}
-		return cells[i].X < cells[j].X
-	})
 }
 
 func sortedScopes(nodes map[string]*seqNode) []string {

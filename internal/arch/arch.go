@@ -7,8 +7,9 @@
 package arch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -18,6 +19,9 @@ type Point struct {
 }
 
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
+
+// Compare orders points row-major: by row (Y), then by column (X).
+func (p Point) Compare(q Point) int { return cmp.Or(cmp.Compare(p.Y, q.Y), cmp.Compare(p.X, q.X)) }
 
 // Add returns p translated by (dx, dy).
 func (p Point) Add(dx, dy int) Point { return Point{p.X + dx, p.Y + dy} }
@@ -353,11 +357,6 @@ func deviceCells(c *Chip, k DeviceKind) []Point {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].X < out[j].X
-	})
+	slices.SortFunc(out, Point.Compare)
 	return out
 }

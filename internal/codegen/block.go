@@ -110,11 +110,10 @@ func genBlock(ctx context.Context, b *cfg.Block, bs *sched.BlockSchedule, bp *pl
 		bc.Exit[f] = p
 		// Droplets born at the final boundary (e.g. a split ending the
 		// block) have empty tracks; pin them to their resting cell.
-		if tr := bc.Seq.Tracks[f]; len(tr.Cells) == 0 {
-			tr.Cells = append(tr.Cells, p)
+		if tr := bc.Seq.Tracks[f]; len(tr.Stays) == 0 {
+			tr.extend(p, 1)
 		}
 	}
-	bc.Seq.NumCycles = len(bc.Seq.Frames)
 	bc.Seq.sortEvents()
 	return bc, nil
 }
@@ -148,7 +147,7 @@ type genState struct {
 	ctx context.Context
 }
 
-func (gs *genState) now() int { return len(gs.seq.Frames) }
+func (gs *genState) now() int { return gs.seq.NumCycles }
 
 // faultObstacles renders each defective electrode as a 1x1 routing obstacle.
 func faultObstacles(topo *place.Topology) []arch.Rect {
@@ -164,23 +163,15 @@ func (gs *genState) startTrack(f ir.FluidID) {
 }
 
 // emitFrames records the current droplet positions as the actuation frame
-// of the next n cycles, one Frame value shared by all n (frames are
-// immutable once emitted), and extends every live track by n cells.
+// of the next n cycles and extends every live track by n cycles.
 func (gs *genState) emitFrames(n int) {
 	frame := make(Frame, 0, len(gs.pos))
 	for f, p := range gs.pos {
 		frame = append(frame, p)
-		tr := gs.seq.Tracks[f]
-		tr.Cells = slices.Grow(tr.Cells, n)
-		for i := 0; i < n; i++ {
-			tr.Cells = append(tr.Cells, p)
-		}
+		gs.seq.Tracks[f].extend(p, n)
 	}
-	sortFrame(frame)
-	gs.seq.Frames = slices.Grow(gs.seq.Frames, n)
-	for i := 0; i < n; i++ {
-		gs.seq.Frames = append(gs.seq.Frames, frame)
-	}
+	slices.SortFunc(frame, arch.Point.Compare)
+	gs.seq.push(frame, n)
 }
 
 // finishItem applies the completion effects of an item: droplet creation
@@ -503,7 +494,7 @@ func (gs *genState) applyBurst(reqs []route.Request, res *route.Result) {
 
 // runSegment advances d cycles of operation patterns: mixes oscillate over
 // their interior cells, everything else holds position. A segment with no
-// oscillating mix is a hold, emitted as one frame shared by all d cycles.
+// oscillating mix is a hold, emitted as one run.
 func (gs *genState) runSegment(schedStart, d int) {
 	type mixer struct {
 		f     ir.FluidID

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -275,14 +276,15 @@ func TestFramesMatchTracks(t *testing.T) {
 	_, ex := compile(t, arch.Default(), singleBlockAssay)
 	for _, bc := range ex.Blocks {
 		s := bc.Seq
+		frames := denseFrames(s)
 		for f, tr := range s.Tracks {
-			for i, c := range tr.Cells {
+			for i, c := range denseCells(tr) {
 				t0 := tr.Start + i
 				if t0 >= s.NumCycles {
 					continue
 				}
 				found := false
-				for _, fc := range s.Frames[t0] {
+				for _, fc := range frames[t0] {
 					if fc == c {
 						found = true
 					}
@@ -293,6 +295,44 @@ func TestFramesMatchTracks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Codegen keeps runs maximal: two adjacent runs differ in their frame or
+// have an event at the cycle between them.
+func TestRunsAreMaximal(t *testing.T) {
+	_, ex := compile(t, arch.Default(), singleBlockAssay)
+	for _, bc := range ex.Blocks {
+		s := bc.Seq
+		start := 0
+		for i, r := range s.Runs {
+			if i > 0 && slices.Equal(s.Runs[i-1].Frame, r.Frame) && !s.eventAt(start) {
+				t.Errorf("block %s: runs %d and %d repeat one frame with no event at cycle %d", bc.Block.Label, i-1, i, start)
+			}
+			start += r.Len
+		}
+	}
+}
+
+// denseFrames expands a sequence's runs to one frame per cycle.
+func denseFrames(s *Sequence) []Frame {
+	var out []Frame
+	for _, r := range s.Runs {
+		for k := 0; k < r.Len; k++ {
+			out = append(out, r.Frame)
+		}
+	}
+	return out
+}
+
+// denseCells expands a track's stays to one cell per cycle.
+func denseCells(tr *Track) []arch.Point {
+	var out []arch.Point
+	for _, st := range tr.Stays {
+		for k := 0; k < st.Len; k++ {
+			out = append(out, st.Cell)
+		}
+	}
+	return out
 }
 
 func TestPCRFullPipeline(t *testing.T) {
@@ -329,9 +369,9 @@ func TestSequenceEmptyAndActiveCount(t *testing.T) {
 	if !s.Empty() {
 		t.Error("zero sequence should be empty")
 	}
-	s2 := &Sequence{NumCycles: 2, Frames: []Frame{{{X: 1, Y: 1}}, {{X: 1, Y: 2}, {X: 3, Y: 3}}}}
-	if s2.ActiveCount() != 3 {
-		t.Errorf("ActiveCount = %d, want 3", s2.ActiveCount())
+	s2 := &Sequence{NumCycles: 4, Runs: []Run{{Frame{{X: 1, Y: 1}}, 3}, {Frame{{X: 1, Y: 2}, {X: 3, Y: 3}}, 1}}}
+	if s2.ActiveCount() != 5 {
+		t.Errorf("ActiveCount = %d, want 5", s2.ActiveCount())
 	}
 }
 
@@ -414,30 +454,27 @@ func handExecutable(t *testing.T, s *Sequence) *Executable {
 	return &Executable{Topo: topo, Blocks: map[int]*BlockCode{b.ID: {Block: b, Seq: s}}}
 }
 
-// holdSequence is one droplet held at (2,2) for n cycles under one shared
-// frame, the way codegen emits a hold.
+// holdSequence is one droplet held at (2,2) for n cycles, one run the
+// way codegen emits a hold.
 func holdSequence(n int) *Sequence {
 	p := arch.Point{X: 2, Y: 2}
-	frame := Frame{p}
-	s := &Sequence{NumCycles: n, Tracks: map[ir.FluidID]*Track{{Name: "a", Ver: 1}: {}}}
-	tr := s.Tracks[ir.FluidID{Name: "a", Ver: 1}]
-	for i := 0; i < n; i++ {
-		s.Frames = append(s.Frames, frame)
-		tr.Cells = append(tr.Cells, p)
+	return &Sequence{
+		NumCycles: n,
+		Runs:      []Run{{Frame{p}, n}},
+		Tracks:    map[ir.FluidID]*Track{{Name: "a", Ver: 1}: {Stays: []Stay{{p, n}}}},
 	}
-	return s
 }
 
-// Check skips hold cycles but not a frame that changes inside a hold: an
-// equal copy of the hold frame passes, a different frame fails at its own
-// cycle.
+// A hold cut into runs of equal frames still checks clean, and a frame
+// that changes inside a hold fails at its own cycle.
 func TestCheckFindsFrameChangeInsideHold(t *testing.T) {
 	s := holdSequence(10)
-	s.Frames[4] = Frame{{X: 2, Y: 2}} // equal, not shared
+	hold := s.Runs[0].Frame
+	s.Runs = []Run{{hold, 4}, {Frame{{X: 2, Y: 2}}, 6}}
 	if err := handExecutable(t, s).Check(); err != nil {
-		t.Fatalf("equal frame rejected: %v", err)
+		t.Fatalf("hold cut in two rejected: %v", err)
 	}
-	s.Frames[5] = Frame{{X: 2, Y: 2}, {X: 9, Y: 9}}
+	s.Runs = []Run{{hold, 5}, {Frame{{X: 2, Y: 2}, {X: 9, Y: 9}}, 1}, {hold, 4}}
 	err := handExecutable(t, s).Check()
 	if err == nil || !strings.Contains(err.Error(), "cycle 5:") {
 		t.Fatalf("Check error %v, want one at cycle 5", err)
@@ -449,14 +486,32 @@ func TestCheckFindsFrameChangeInsideHold(t *testing.T) {
 // cycles 2, 4 and 5, and becomes adjacent at cycle 5.
 func TestCheckFindsAdjacencyAfterAMove(t *testing.T) {
 	s := holdSequence(8)
-	a := s.Frames[0][0]
-	cells := []arch.Point{{X: 6, Y: 2}, {X: 6, Y: 2}, {X: 5, Y: 2}, {X: 5, Y: 2}, {X: 4, Y: 2}, {X: 3, Y: 2}, {X: 3, Y: 2}, {X: 3, Y: 2}}
-	s.Tracks[ir.FluidID{Name: "b", Ver: 1}] = &Track{Cells: cells}
-	for i, c := range cells {
-		s.Frames[i] = Frame{a, c}
+	a := s.Runs[0].Frame[0]
+	stays := []Stay{{arch.Point{X: 6, Y: 2}, 2}, {arch.Point{X: 5, Y: 2}, 2}, {arch.Point{X: 4, Y: 2}, 1}, {arch.Point{X: 3, Y: 2}, 3}}
+	s.Tracks[ir.FluidID{Name: "b", Ver: 1}] = &Track{Stays: stays}
+	s.Runs = nil
+	for _, st := range stays {
+		s.Runs = append(s.Runs, Run{Frame{a, st.Cell}, st.Len})
 	}
 	err := handExecutable(t, s).Check()
 	if err == nil || !strings.Contains(err.Error(), "adjacent at cycle 5") {
 		t.Fatalf("Check error %v, want adjacency at cycle 5", err)
+	}
+}
+
+// Check rejects runs that do not cover the declared cycles exactly, and
+// tracks of non-positive stays.
+func TestCheckRejectsBadRuns(t *testing.T) {
+	for name, mutate := range map[string]func(s *Sequence){
+		"short":      func(s *Sequence) { s.Runs[0].Len-- },
+		"long":       func(s *Sequence) { s.Runs = append(s.Runs, Run{s.Runs[0].Frame, 1}) },
+		"empty run":  func(s *Sequence) { s.Runs = append(s.Runs, Run{s.Runs[0].Frame, 0}) },
+		"empty stay": func(s *Sequence) { s.Tracks[ir.FluidID{Name: "a", Ver: 1}].Stays[0].Len = 0 },
+	} {
+		s := holdSequence(6)
+		mutate(s)
+		if err := handExecutable(t, s).Check(); err == nil {
+			t.Errorf("%s: Check accepted a malformed sequence", name)
+		}
 	}
 }

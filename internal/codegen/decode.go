@@ -19,7 +19,7 @@ import (
 // with Executable.Check before returning.
 func Decode(r io.Reader) (*Executable, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26) // long RLE track lines
+	sc.Buffer(nil, 1<<26) // long RLE track lines
 	d := &decoder{sc: sc}
 	ex, err := d.decode()
 	if err != nil {
@@ -157,7 +157,7 @@ func (d *decoder) decodeGraph() (*cfg.Graph, error) {
 			return g, nil
 		}
 		fields, err := splitQuoted(d.cur)
-		if err != nil || len(fields) == 0 {
+		if err != nil || len(fields) == 0 || len(fields) < minFields[fields[0]] {
 			return nil, fmt.Errorf("bad graph line %q: %v", d.cur, err)
 		}
 		switch fields[0] {
@@ -242,6 +242,13 @@ func (d *decoder) decodeGraph() (*cfg.Graph, error) {
 		}
 	}
 	return nil, fmt.Errorf("missing code sections")
+}
+
+// minFields is the field count of each graph and code directive whose
+// fields the decoder reads by position.
+var minFields = map[string]int{
+	"block": 3, "phi": 3, "branch": 3, "edge": 3,
+	"cycles": 2, "entry": 4, "exit": 4, "copy": 3, "track": 3,
 }
 
 var kindByName = map[string]ir.OpKind{
@@ -333,7 +340,6 @@ func (d *decoder) decodeBlockCode(b *cfg.Block) (*BlockCode, error) {
 	if err := d.decodeSeqBody(bc.Seq, bc, nil); err != nil {
 		return nil, err
 	}
-	rebuildFrames(bc.Seq)
 	return bc, nil
 }
 
@@ -346,20 +352,21 @@ func (d *decoder) decodeEdgeCode(from, to *cfg.Block) (*EdgeCode, error) {
 	if err := d.decodeSeqBody(ec.Seq, nil, ec); err != nil {
 		return nil, err
 	}
-	rebuildFrames(ec.Seq)
 	return ec, nil
 }
 
 // decodeSeqBody consumes lines until the next section header, which is
-// left in d.cur for the caller.
+// left in d.cur for the caller, and rebuilds the runs. Check, run on the
+// whole executable, holds the tracks inside the declared cycles.
 func (d *decoder) decodeSeqBody(s *Sequence, bc *BlockCode, ec *EdgeCode) error {
 	for d.next() {
 		if strings.HasPrefix(d.cur, "[") {
 			s.sortEvents()
+			rebuildRuns(s)
 			return nil
 		}
 		fields, err := splitQuoted(d.cur)
-		if err != nil || len(fields) == 0 {
+		if err != nil || len(fields) == 0 || len(fields) < minFields[fields[0]] {
 			return fmt.Errorf("bad code line %q: %v", d.cur, err)
 		}
 		switch fields[0] {
@@ -410,17 +417,7 @@ func (d *decoder) decodeSeqBody(s *Sequence, bc *BlockCode, ec *EdgeCode) error 
 			if err != nil {
 				return err
 			}
-			// A track lies within the cycles declared before it, except
-			// the one-cell track pinning a droplet born at the sequence's
-			// final boundary, which starts at NumCycles.
-			room := s.NumCycles - start
-			if start == s.NumCycles {
-				room = 1
-			}
-			if start < 0 || room < 0 {
-				return fmt.Errorf("track %s starts at cycle %d, outside the sequence's %d cycles", f, start, s.NumCycles)
-			}
-			tr := &Track{Start: start}
+			tr := &Track{Start: start, Stays: make([]Stay, 0, len(fields)-3)}
 			for _, cell := range fields[3:] {
 				rep := 1
 				if x := strings.IndexByte(cell, 'x'); x >= 0 {
@@ -436,13 +433,7 @@ func (d *decoder) decodeSeqBody(s *Sequence, bc *BlockCode, ec *EdgeCode) error 
 				if err != nil {
 					return err
 				}
-				if rep > room-len(tr.Cells) {
-					return fmt.Errorf("track %s runs past the sequence's %d cycles", f, s.NumCycles)
-				}
-				tr.Cells = slices.Grow(tr.Cells, rep)
-				for i := 0; i < rep; i++ {
-					tr.Cells = append(tr.Cells, p)
-				}
+				tr.extend(p, rep)
 			}
 			s.Tracks[f] = tr
 		case "event":
@@ -527,29 +518,43 @@ func decodeEvent(fields []string) (Event, error) {
 	return ev, nil
 }
 
-// rebuildFrames reconstructs the frame stream as the per-cycle union of
-// track positions, exactly inverting the generator's emitFrames. A frame is
-// built only at a cycle where some track starts, ends or moves; the cycles
-// up to the next such cycle share it, as the generator's holds do.
-func rebuildFrames(s *Sequence) {
-	_, changes := trackChanges(s)
-	s.Frames = make([]Frame, s.NumCycles)
-	var frame Frame
-	ci := 0
-	for t := 0; t < s.NumCycles; t++ {
-		for ci < len(changes) && changes[ci] < t {
-			ci++
+// rebuildRuns reconstructs the runs as the per-cycle union of track
+// positions, exactly inverting the generator's emitFrames. A frame is
+// built only where some track starts, ends or moves or an event fires, so
+// the work and the memory follow the file, not the declared cycle count.
+func rebuildRuns(s *Sequence) {
+	points := trackPoints(s)
+	for _, ev := range s.Events {
+		points = append(points, ev.Cycle)
+	}
+	points = append(points, 0)
+	slices.Sort(points)
+	points = slices.Compact(points)
+	curs := make([]cursor, 0, len(s.Tracks))
+	for _, tr := range s.Tracks {
+		curs = append(curs, newCursor(tr))
+	}
+	n := s.NumCycles
+	s.NumCycles, s.Runs = 0, make([]Run, 0, len(points))
+	for i, t := range points {
+		if t < 0 {
+			continue
 		}
-		if t == 0 || ci < len(changes) && changes[ci] == t {
-			frame = nil
-			for _, tr := range s.Tracks {
-				if t >= tr.Start && t < tr.End() {
-					frame = append(frame, tr.Cells[t-tr.Start])
-				}
+		if t >= n {
+			break
+		}
+		end := n
+		if i+1 < len(points) {
+			end = min(points[i+1], n)
+		}
+		var frame Frame
+		for j := range curs {
+			if p, ok := curs[j].at(t); ok {
+				frame = append(frame, p)
 			}
-			sortFrame(frame)
 		}
-		s.Frames[t] = frame
+		slices.SortFunc(frame, arch.Point.Compare)
+		s.push(frame, end-t)
 	}
 }
 

@@ -3,6 +3,7 @@ package codegen
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
@@ -79,12 +80,10 @@ func genEdge(ctx context.Context, from, to *cfg.Block, fromCode, toCode *BlockCo
 		for _, r := range reqs {
 			p := res.Paths[r.ID][t]
 			frame = append(frame, p)
-			tr := ec.Seq.Tracks[r.ID]
-			tr.Cells = append(tr.Cells, p)
+			ec.Seq.Tracks[r.ID].extend(p, 1)
 		}
-		sortFrame(frame)
-		ec.Seq.Frames = append(ec.Seq.Frames, frame)
+		slices.SortFunc(frame, arch.Point.Compare)
+		ec.Seq.push(frame, 1)
 	}
-	ec.Seq.NumCycles = len(ec.Seq.Frames)
 	return ec, nil
 }

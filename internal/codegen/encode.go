@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"biocoder/internal/arch"
-	"biocoder/internal/cfg"
 	"biocoder/internal/ir"
 )
 
@@ -21,8 +20,8 @@ import (
 //	[graph]       — blocks, φ-functions, instructions, branches, edges
 //	[code ...]    — per block/edge: the cycle count, then droplet tracks
 //	                (run-length encoded, within the cycle count) and
-//	                structural events; frames are reconstructed as the
-//	                per-cycle union of track positions, which
+//	                structural events; the runs of frames are
+//	                reconstructed as the union of track positions, which
 //	                Executable.Check guarantees is exactly the frame set
 //	[end]
 //
@@ -160,19 +159,12 @@ func encodeSequence(w io.Writer, s *Sequence) {
 	for _, f := range fluids {
 		tr := s.Tracks[f]
 		fmt.Fprintf(w, "track %s %d", encFluid(f), tr.Start)
-		// Run-length encode the cell list.
-		i := 0
-		for i < len(tr.Cells) {
-			j := i
-			for j < len(tr.Cells) && tr.Cells[j] == tr.Cells[i] {
-				j++
-			}
-			if j-i > 1 {
-				fmt.Fprintf(w, " %d,%dx%d", tr.Cells[i].X, tr.Cells[i].Y, j-i)
+		for _, st := range tr.Stays {
+			if st.Len > 1 {
+				fmt.Fprintf(w, " %d,%dx%d", st.Cell.X, st.Cell.Y, st.Len)
 			} else {
-				fmt.Fprintf(w, " %d,%d", tr.Cells[i].X, tr.Cells[i].Y)
+				fmt.Fprintf(w, " %d,%d", st.Cell.X, st.Cell.Y)
 			}
-			i = j
 		}
 		fmt.Fprintln(w)
 	}
@@ -211,5 +203,3 @@ func encCells(cells []arch.Point) string {
 	}
 	return out
 }
-
-var _ = cfg.Copy{} // cfg is used by the decoder half of this file pair

@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -93,18 +94,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(dc.Seq.Events) != len(bc.Seq.Events) {
 			t.Errorf("block %d events %d != %d", id, len(dc.Seq.Events), len(bc.Seq.Events))
 		}
-		if len(dc.Seq.Frames) != len(bc.Seq.Frames) {
-			t.Fatalf("block %d frame counts differ", id)
+		if len(dc.Seq.Runs) != len(bc.Seq.Runs) {
+			t.Fatalf("block %d run counts differ: %d != %d", id, len(dc.Seq.Runs), len(bc.Seq.Runs))
 		}
-		for i := range bc.Seq.Frames {
-			if len(dc.Seq.Frames[i]) != len(bc.Seq.Frames[i]) {
-				t.Fatalf("block %d frame %d differs", id, i)
-			}
-			for j := range bc.Seq.Frames[i] {
-				if dc.Seq.Frames[i][j] != bc.Seq.Frames[i][j] {
-					t.Fatalf("block %d frame %d cell %d: %v != %v",
-						id, i, j, dc.Seq.Frames[i][j], bc.Seq.Frames[i][j])
-				}
+		for i, r := range bc.Seq.Runs {
+			if d := dc.Seq.Runs[i]; d.Len != r.Len || !slices.Equal(d.Frame, r.Frame) {
+				t.Fatalf("block %d run %d: %v x%d != %v x%d", id, i, d.Frame, d.Len, r.Frame, r.Len)
 			}
 		}
 	}
@@ -177,6 +172,17 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}},
 		{"garbage line", func(s string) string {
 			return strings.Replace(s, "[graph]", "[graph]\nfrobnicate 1 2 3", 1)
+		}},
+		// Lines cut short after their directive used to index past their
+		// fields and panic.
+		{"short cycles line", func(s string) string {
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "cycles" }, func([]string) string { return "cycles" })
+		}},
+		{"short track line", func(s string) string {
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "track" }, func(f []string) string { return "track " + f[1] })
+		}},
+		{"short edge line", func(s string) string {
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "edge" }, func([]string) string { return "edge 0" })
 		}},
 	}
 	for _, tc := range cases {

@@ -3,7 +3,7 @@ package codegen
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
@@ -130,57 +130,66 @@ func (ex *Executable) Check() error {
 }
 
 // checkSequence validates one sequence. Every property it checks can only
-// change at a cycle where a track starts, ends or moves, or where the frame
-// changes, so it checks those cycles alone: the first failing cycle is
-// always one of them, and the error names the same cycle a cycle-by-cycle
-// check would.
+// change at a run start or where a track starts, ends or moves, so it
+// checks those cycles alone: the first failing cycle is always one of
+// them.
 func checkSequence(s *Sequence, ex *Executable) error {
 	chip := ex.Topo.Chip
-	if len(s.Frames) != s.NumCycles {
-		return fmt.Errorf("sequence declares %d cycles but carries %d frames", s.NumCycles, len(s.Frames))
+	if err := s.Validate(); err != nil {
+		return err
 	}
-	// Track continuity and bounds, checked where a droplet enters a cell:
-	// at the start of its track and at each move.
-	moves, changes := trackChanges(s)
+	// Track continuity and bounds, checked where a droplet enters a cell.
+	ids := make([]ir.FluidID, 0, len(s.Tracks))
 	for f, tr := range s.Tracks {
-		if len(tr.Cells) == 0 {
-			continue
-		}
-		for _, t := range append([]int{tr.Start}, moves[f]...) {
-			i := t - tr.Start
-			c := tr.Cells[i]
-			if !chip.InBounds(c) {
-				return fmt.Errorf("droplet %s off chip at %v", f, c)
+		ids = append(ids, f)
+		t := tr.Start
+		for i, st := range tr.Stays {
+			if !chip.InBounds(st.Cell) {
+				return fmt.Errorf("droplet %s off chip at %v", f, st.Cell)
 			}
-			if ex.Topo.Faulty(c) {
-				return fmt.Errorf("droplet %s crosses defective electrode %v", f, c)
+			if ex.Topo.Faulty(st.Cell) {
+				return fmt.Errorf("droplet %s crosses defective electrode %v", f, st.Cell)
 			}
-			if i > 0 && tr.Cells[i-1].Manhattan(c) > 1 {
-				return fmt.Errorf("droplet %s teleports %v->%v at cycle %d", f, tr.Cells[i-1], c, tr.Start+i)
+			if i > 0 && tr.Stays[i-1].Cell.Manhattan(st.Cell) > 1 {
+				return fmt.Errorf("droplet %s teleports %v->%v at cycle %d", f, tr.Stays[i-1].Cell, st.Cell, t)
 			}
+			t += st.Len
 		}
 	}
 	// Frames must equal the union of track positions cycle by cycle.
+	points := trackPoints(s)
+	t := 0
+	for _, r := range s.Runs {
+		points = append(points, t)
+		t += r.Len
+	}
+	slices.Sort(points)
+	points = slices.Compact(points)
+	curs := make([]cursor, 0, len(s.Tracks))
+	for _, tr := range s.Tracks {
+		curs = append(curs, newCursor(tr))
+	}
 	want := map[arch.Point]bool{}
-	ci := 0
-	for t := 0; t < s.NumCycles; t++ {
-		for ci < len(changes) && changes[ci] < t {
-			ci++
+	ri, runEnd := -1, 0
+	for _, t := range points {
+		if t >= s.NumCycles {
+			break
 		}
-		trackChange := ci < len(changes) && changes[ci] == t
-		if t > 0 && !trackChange && SameFrame(s.Frames[t-1], s.Frames[t]) {
-			continue
+		for t >= runEnd {
+			ri++
+			runEnd += s.Runs[ri].Len
 		}
 		clear(want)
-		for _, tr := range s.Tracks {
-			if t >= tr.Start && t < tr.End() {
-				want[tr.Cells[t-tr.Start]] = true
+		for i := range curs {
+			if p, ok := curs[i].at(t); ok {
+				want[p] = true
 			}
 		}
-		if len(want) != len(s.Frames[t]) {
-			return fmt.Errorf("cycle %d: frame has %d electrodes, tracks say %d", t, len(s.Frames[t]), len(want))
+		frame := s.Runs[ri].Frame
+		if len(want) != len(frame) {
+			return fmt.Errorf("cycle %d: frame has %d electrodes, tracks say %d", t, len(frame), len(want))
 		}
-		for _, c := range s.Frames[t] {
+		for _, c := range frame {
 			if !want[c] {
 				return fmt.Errorf("cycle %d: electrode %v active with no droplet", t, c)
 			}
@@ -199,22 +208,22 @@ func checkSequence(s *Sequence, ex *Executable) error {
 			}
 		}
 	}
-	ids := make([]ir.FluidID, 0, len(s.Tracks))
-	for f := range s.Tracks {
-		ids = append(ids, f)
+	ends := make(map[ir.FluidID]int, len(ids))
+	for _, f := range ids {
+		ends[f] = s.Tracks[f].End()
 	}
 	for i, a := range ids {
 		for _, b := range ids[i+1:] {
 			if mates[[2]ir.FluidID{a, b}] {
 				continue
 			}
-			ta, tb := s.Tracks[a], s.Tracks[b]
-			hi := min(ta.End(), tb.End())
 			// The pair's distance changes only where one of the two
 			// moves: check the first shared cycle and each such move.
-			for t := max(ta.Start, tb.Start); t < hi; t = nextMove(t, hi, moves[a], moves[b]) {
-				pa := ta.Cells[t-ta.Start]
-				pb := tb.Cells[t-tb.Start]
+			ca, cb := newCursor(s.Tracks[a]), newCursor(s.Tracks[b])
+			hi := min(ends[a], ends[b])
+			for t := max(ca.tr.Start, cb.tr.Start); t < hi; t = min(ca.next(), cb.next()) {
+				pa, _ := ca.at(t)
+				pb, _ := cb.at(t)
 				if pa.Adjacent(pb) {
 					return fmt.Errorf("droplets %s and %s adjacent at cycle %d (%v, %v)", a, b, t, pa, pb)
 				}
@@ -222,29 +231,4 @@ func checkSequence(s *Sequence, ex *Executable) error {
 		}
 	}
 	return nil
-}
-
-// nextMove returns the first cycle after t and before hi listed in any of
-// the ascending move lists, or hi.
-func nextMove(t, hi int, lists ...[]int) int {
-	for _, mv := range lists {
-		if i := sort.SearchInts(mv, t+1); i < len(mv) && mv[i] < hi {
-			hi = mv[i]
-		}
-	}
-	return hi
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/ir"
@@ -61,18 +62,8 @@ func foldIntoPred(ex *Executable, ec *EdgeCode) error {
 			delete(pred.Seq.Tracks, id)
 		}
 	}
-
-	for _, ev := range ec.Seq.Events {
-		ev.Cycle += base
-		pred.Seq.Events = append(pred.Seq.Events, ev)
-	}
-	pred.Seq.Frames = append(pred.Seq.Frames, ec.Seq.Frames...)
-	pred.Seq.NumCycles += ec.Seq.NumCycles
-	for id, tr := range ec.Seq.Tracks {
-		if _, dup := pred.Seq.Tracks[id]; dup {
-			return fmt.Errorf("droplet %s already tracked in predecessor", id)
-		}
-		pred.Seq.Tracks[id] = &Track{Start: base + tr.Start, Cells: tr.Cells}
+	if err := pred.Seq.appendSeq(ec.Seq); err != nil {
+		return err
 	}
 
 	// The predecessor now ends with the successor's φ destinations in
@@ -80,13 +71,12 @@ func foldIntoPred(ex *Executable, ec *EdgeCode) error {
 	oldExit := pred.Exit
 	pred.Exit = map[ir.FluidID]arch.Point{}
 	for _, cp := range ec.Copies {
-		if tr, ok := ec.Seq.Tracks[cp.Dst]; ok && len(tr.Cells) > 0 {
-			pred.Exit[cp.Dst] = tr.Cells[len(tr.Cells)-1]
+		if tr, ok := ec.Seq.Tracks[cp.Dst]; ok && len(tr.Stays) > 0 {
+			pred.Exit[cp.Dst] = tr.Stays[len(tr.Stays)-1].Cell
 		} else {
 			pred.Exit[cp.Dst] = oldExit[cp.Src]
 		}
 	}
-	pred.Seq.sortEvents()
 	ec.Seq = &Sequence{Tracks: map[ir.FluidID]*Track{}}
 	return nil
 }
@@ -95,32 +85,6 @@ func foldIntoPred(ex *Executable, ec *EdgeCode) error {
 // and transport run first, then the block proper.
 func foldIntoSucc(ex *Executable, ec *EdgeCode) error {
 	succ := ex.Blocks[ec.To.ID]
-	shift := ec.Seq.NumCycles
-
-	for i := range succ.Seq.Events {
-		succ.Seq.Events[i].Cycle += shift
-	}
-	succ.Seq.Events = append(append([]Event(nil), ec.Seq.Events...), succ.Seq.Events...)
-	succ.Seq.Frames = append(append([]Frame(nil), ec.Seq.Frames...), succ.Seq.Frames...)
-	succ.Seq.NumCycles += shift
-	for _, tr := range succ.Seq.Tracks {
-		tr.Start += shift
-	}
-	for id, etr := range ec.Seq.Tracks {
-		if str, ok := succ.Seq.Tracks[id]; ok {
-			// The edge delivers the φ destination that the block then
-			// tracks: the two spans are contiguous, merge them.
-			// etr occupies combined cycles [etr.Start, etr.Start+len);
-			// str was already shifted by the edge length above.
-			if str.Start != etr.Start+len(etr.Cells) {
-				return fmt.Errorf("droplet %s tracks not contiguous across fold", id)
-			}
-			merged := &Track{Start: etr.Start, Cells: append(append([]arch.Point(nil), etr.Cells...), str.Cells...)}
-			succ.Seq.Tracks[id] = merged
-		} else {
-			succ.Seq.Tracks[id] = &Track{Start: etr.Start, Cells: etr.Cells}
-		}
-	}
 
 	// The successor's entry contract now names the φ sources at their
 	// predecessor-exit positions.
@@ -130,8 +94,42 @@ func foldIntoSucc(ex *Executable, ec *EdgeCode) error {
 			newEntry[ev.Inputs[0]] = ev.Cells[0]
 		}
 	}
-	succ.Entry = newEntry
-	succ.Seq.sortEvents()
+	if err := ec.Seq.appendSeq(succ.Seq); err != nil {
+		return err
+	}
+	succ.Seq, succ.Entry = ec.Seq, newEntry
 	ec.Seq = &Sequence{Tracks: map[ir.FluidID]*Track{}}
+	return nil
+}
+
+// appendSeq appends o to s: o's events, runs and tracks shift by s's
+// length. A track of o whose droplet s tracks up to o's start continues
+// that track; the edge delivers the φ destination that the block then
+// tracks.
+func (s *Sequence) appendSeq(o *Sequence) error {
+	base := s.NumCycles
+	for _, ev := range o.Events {
+		ev.Cycle += base
+		s.Events = append(s.Events, ev)
+	}
+	s.sortEvents()
+	for _, r := range o.Runs {
+		s.push(r.Frame, r.Len)
+	}
+	for id, tr := range o.Tracks {
+		prev, ok := s.Tracks[id]
+		if !ok {
+			s.Tracks[id] = &Track{Start: base + tr.Start, Stays: tr.Stays}
+			continue
+		}
+		if prev.End() != base+tr.Start {
+			return fmt.Errorf("droplet %s tracks not contiguous across fold", id)
+		}
+		merged := &Track{Start: prev.Start, Stays: slices.Clone(prev.Stays)}
+		for _, st := range tr.Stays {
+			merged.extend(st.Cell, st.Len)
+		}
+		s.Tracks[id] = merged
+	}
 	return nil
 }

@@ -24,41 +24,10 @@ import (
 // Frame is the set of activated electrodes during one cycle, sorted
 // row-major for determinism.
 //
-// Frames are immutable once emitted. A hold — cycles in which no droplet
-// moves and no mix oscillates — is one Frame value shared by every cycle of
-// the hold, and folding, decoding and the block memo share frames across
-// cycles and sequences too, so writing into a frame would rewrite every
-// cycle that shares it.
+// Frames are immutable once emitted: folding moves them from an edge's
+// sequence into a block's, and callers may keep the frame a FrameHook
+// receives.
 type Frame []arch.Point
-
-// SameFrame reports whether frame b activates exactly the electrodes of
-// frame a, cell for cell. It is the one definition of "this frame repeats
-// the previous one": every walker that skips hold cycles asks it. Cycles of
-// one hold share a frame, so identity answers most calls; frames built
-// elsewhere are compared by content.
-func SameFrame(a, b Frame) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortFrame(f Frame) {
-	sort.Slice(f, func(i, j int) bool {
-		if f[i].Y != f[j].Y {
-			return f[i].Y < f[j].Y
-		}
-		return f[i].X < f[j].X
-	})
-}
 
 // EventKind enumerates the structural annotations of a sequence.
 type EventKind int
@@ -133,71 +102,168 @@ func fluidList(fs []ir.FluidID) string {
 	return strings.Join(parts, ",")
 }
 
+// Stay is a run of Len consecutive cycles a droplet spends on one cell.
+type Stay struct {
+	Cell arch.Point
+	Len  int
+}
+
 // Track records one droplet's position over a span of a sequence: the
-// droplet exists from cycle Start and sits at Cells[t-Start] at the end of
-// cycle t.
+// droplet exists from cycle Start and sits at Stays[0].Cell at the end of
+// the first Stays[0].Len cycles, then at Stays[1].Cell, and so on. This is
+// the run-length form the executable format writes, one token per stay;
+// the producers in this package never put two stays on one cell in a row.
 type Track struct {
 	Start int
-	Cells []arch.Point
+	Stays []Stay
 }
 
 // End returns the first cycle after the track.
-func (tr *Track) End() int { return tr.Start + len(tr.Cells) }
-
-// At returns the droplet position at the end of cycle t (clamped into the
-// track's span).
-func (tr *Track) At(t int) arch.Point {
-	i := t - tr.Start
-	if i < 0 {
-		i = 0
+func (tr *Track) End() int {
+	end := tr.Start
+	for _, st := range tr.Stays {
+		end += st.Len
 	}
-	if i >= len(tr.Cells) {
-		i = len(tr.Cells) - 1
-	}
-	return tr.Cells[i]
+	return end
 }
 
-// trackChanges returns, per droplet, the cycles at which its track moves
-// to another cell, and, ascending and without repeats, every cycle at
-// which some track starts, ends or moves. Between two such cycles the
+// extend appends n cycles at cell c, lengthening the last stay when the
+// droplet is already there.
+func (tr *Track) extend(c arch.Point, n int) {
+	if k := len(tr.Stays) - 1; k >= 0 && tr.Stays[k].Cell == c {
+		tr.Stays[k].Len += n
+		return
+	}
+	tr.Stays = append(tr.Stays, Stay{Cell: c, Len: n})
+}
+
+// cursor walks one track's stays at ascending cycles.
+type cursor struct {
+	tr   *Track
+	i    int // the stay at the last cycle asked
+	from int // first cycle of stay i
+}
+
+func newCursor(tr *Track) cursor { return cursor{tr: tr, from: tr.Start} }
+
+// at returns the droplet's cell at cycle t, and false when the track does
+// not cover t. Successive calls must not go back in time.
+func (c *cursor) at(t int) (arch.Point, bool) {
+	if t < c.tr.Start {
+		return arch.Point{}, false
+	}
+	for c.i < len(c.tr.Stays) && t >= c.from+c.tr.Stays[c.i].Len {
+		c.from += c.tr.Stays[c.i].Len
+		c.i++
+	}
+	if c.i == len(c.tr.Stays) {
+		return arch.Point{}, false
+	}
+	return c.tr.Stays[c.i].Cell, true
+}
+
+// next returns the first cycle after the stay found by the last at.
+func (c *cursor) next() int { return c.from + c.tr.Stays[c.i].Len }
+
+// trackPoints returns, ascending and without repeats, every cycle at which
+// some track of s starts, moves or ends. Between two such cycles the
 // droplet positions the tracks claim do not change.
-func trackChanges(s *Sequence) (moves map[ir.FluidID][]int, changes []int) {
-	moves = make(map[ir.FluidID][]int, len(s.Tracks))
+func trackPoints(s *Sequence) []int {
 	n := 0
-	for f, tr := range s.Tracks {
-		var mv []int
-		for i := 1; i < len(tr.Cells); i++ {
-			if tr.Cells[i] != tr.Cells[i-1] {
-				mv = append(mv, tr.Start+i)
-			}
-		}
-		moves[f] = mv
-		n += 2 + len(mv)
+	for _, tr := range s.Tracks {
+		n += 1 + len(tr.Stays)
 	}
 	// Sized up front: appending the tracks' uneven runs in map order
 	// would make the allocation vary from run to run.
-	changes = make([]int, 0, n)
-	for f, tr := range s.Tracks {
-		changes = append(changes, tr.Start, tr.End())
-		changes = append(changes, moves[f]...)
+	points := make([]int, 0, n)
+	for _, tr := range s.Tracks {
+		t := tr.Start
+		points = append(points, t)
+		for _, st := range tr.Stays {
+			t += st.Len
+			points = append(points, t)
+		}
 	}
-	slices.Sort(changes)
-	return moves, slices.Compact(changes)
+	slices.Sort(points)
+	return slices.Compact(points)
+}
+
+// Run is a stretch of Len consecutive cycles actuating one frame.
+type Run struct {
+	Frame Frame
+	Len   int
 }
 
 // Sequence is one electrode activation sequence Σ with its annotations.
 //
-// A hold cycle is a cycle t > 0 whose frame is SameFrame as the frame of
-// cycle t-1, with no event at cycle t. Every droplet stays where it was, so
-// nothing derived from the frame or the droplet positions changes, and the
-// interpreters and checkers skip such cycles.
+// Σ is kept as runs: a new run starts wherever the frame changes or an
+// event fires, so inside a run every droplet holds on the electrode it
+// reached at the run's first cycle. The producers in this package keep
+// runs maximal; walkers do their work once per run and stay exact on any
+// split of a run, since cutting one only repeats a frame.
 type Sequence struct {
 	NumCycles int
-	Frames    []Frame
+	Runs      []Run
 	Events    []Event
 	// Tracks is the generator's ground-truth droplet timeline, used by
 	// the visualizer and to cross-validate frame interpretation.
 	Tracks map[ir.FluidID]*Track
+}
+
+// push appends n cycles of frame f. It lengthens the last run instead
+// when f repeats that run's frame and no event fires at the cycle between
+// them; events for that cycle must already be in s.Events, in cycle order.
+func (s *Sequence) push(f Frame, n int) {
+	t := s.NumCycles
+	s.NumCycles += n
+	if k := len(s.Runs) - 1; k >= 0 && slices.Equal(s.Runs[k].Frame, f) && !s.eventAt(t) {
+		s.Runs[k].Len += n
+		return
+	}
+	s.Runs = append(s.Runs, Run{Frame: f, Len: n})
+}
+
+// eventAt reports whether an event fires at cycle t.
+func (s *Sequence) eventAt(t int) bool {
+	i := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].Cycle >= t })
+	return i < len(s.Events) && s.Events[i].Cycle == t
+}
+
+// Validate checks the shape every walker relies on: run lengths of at
+// least one that sum to NumCycles, and tracks of positive stays inside the
+// sequence (the one-cell track pinning a droplet born at the final
+// boundary starts at NumCycles).
+func (s *Sequence) Validate() error {
+	n := 0
+	for _, r := range s.Runs {
+		if r.Len < 1 || r.Len > s.NumCycles-n {
+			n = -1
+			break
+		}
+		n += r.Len
+	}
+	if n != s.NumCycles || s.NumCycles < 0 {
+		return fmt.Errorf("runs do not cover the sequence's %d cycles exactly", s.NumCycles)
+	}
+	for f, tr := range s.Tracks {
+		if tr == nil || tr.Start < 0 {
+			return fmt.Errorf("track %s starts outside the sequence's %d cycles", f, s.NumCycles)
+		}
+		room := s.NumCycles - tr.Start
+		if room == 0 {
+			room = 1
+		}
+		for _, st := range tr.Stays {
+			if st.Len < 1 || st.Len > room {
+				return fmt.Errorf("track %s runs past the sequence's %d cycles", f, s.NumCycles)
+			}
+			room -= st.Len
+		}
+		if room < 0 {
+			return fmt.Errorf("track %s starts outside the sequence's %d cycles", f, s.NumCycles)
+		}
+	}
+	return nil
 }
 
 // Empty reports whether the sequence performs no actuation (Σ = ∅, as for
@@ -212,8 +278,8 @@ func (s *Sequence) sortEvents() {
 // of actuation effort.
 func (s *Sequence) ActiveCount() int {
 	n := 0
-	for _, f := range s.Frames {
-		n += len(f)
+	for _, r := range s.Runs {
+		n += len(r.Frame) * r.Len
 	}
 	return n
 }

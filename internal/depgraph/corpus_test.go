@@ -19,6 +19,7 @@ import (
 	"biocoder"
 	"biocoder/internal/assays"
 	"biocoder/internal/cfg"
+	"biocoder/internal/codegen"
 	"biocoder/internal/depgraph"
 	"biocoder/internal/ir"
 	"biocoder/internal/verify"
@@ -241,7 +242,7 @@ func TestMutationBF602(t *testing.T) {
 	}
 	bc := prog.Executable.Blocks[victim.ID]
 	for _, tr := range bc.Seq.Tracks {
-		tr.Cells = append(tr.Cells, spurious)
+		tr.Stays = append(tr.Stays, codegen.Stay{Cell: spurious, Len: 1})
 		break
 	}
 	res := analyzeProg(t, prog)

@@ -35,6 +35,7 @@ package depgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,19 +118,14 @@ func seqCells(set map[arch.Point]bool, s *codegen.Sequence) {
 	if s == nil {
 		return
 	}
-	for i, f := range s.Frames {
-		if i > 0 && codegen.SameFrame(s.Frames[i-1], f) {
-			continue
-		}
-		for _, c := range f {
+	for _, r := range s.Runs {
+		for _, c := range r.Frame {
 			set[c] = true
 		}
 	}
 	for _, tr := range s.Tracks {
-		for i, c := range tr.Cells {
-			if i == 0 || c != tr.Cells[i-1] {
-				set[c] = true
-			}
+		for _, st := range tr.Stays {
+			set[st.Cell] = true
 		}
 	}
 	for _, ev := range s.Events {
@@ -144,12 +140,7 @@ func sortedCells(set map[arch.Point]bool) []arch.Point {
 	for c := range set {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].X < out[j].X
-	})
+	slices.SortFunc(out, arch.Point.Compare)
 	return out
 }
 

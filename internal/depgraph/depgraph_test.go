@@ -174,7 +174,7 @@ func fakeArtifacts(b *cfg.Block, liveOut cfg.Set) (*sched.BlockSchedule, *place.
 		start++
 	}
 	seq := &codegen.Sequence{NumCycles: 2, Tracks: map[ir.FluidID]*codegen.Track{}}
-	seq.Frames = []codegen.Frame{{arch.Point{X: 1, Y: 1}}, {arch.Point{X: 1, Y: 2}}}
+	seq.Runs = []codegen.Run{{Frame: codegen.Frame{{X: 1, Y: 1}}, Len: 1}, {Frame: codegen.Frame{{X: 1, Y: 2}}, Len: 1}}
 	entry := map[ir.FluidID]arch.Point{}
 	exit := map[ir.FluidID]arch.Point{}
 	for _, phi := range b.Phis {
@@ -182,7 +182,7 @@ func fakeArtifacts(b *cfg.Block, liveOut cfg.Set) (*sched.BlockSchedule, *place.
 	}
 	for f := range liveOut {
 		exit[f] = arch.Point{X: 1, Y: 2}
-		seq.Tracks[f] = &codegen.Track{Start: 0, Cells: []arch.Point{{X: 1, Y: 1}, {X: 1, Y: 2}}}
+		seq.Tracks[f] = &codegen.Track{Start: 0, Stays: []codegen.Stay{{Cell: arch.Point{X: 1, Y: 1}, Len: 1}, {Cell: arch.Point{X: 1, Y: 2}, Len: 1}}}
 	}
 	seq.Events = []codegen.Event{{Cycle: 0, Kind: codegen.EvMerge, InstrID: b.Instrs[0].ID,
 		Inputs:  append([]ir.FluidID(nil), b.Instrs[0].Args...),
@@ -237,14 +237,14 @@ func TestMemoTranslatesRenamedBlock(t *testing.T) {
 	}
 	// Translation must hand out fresh copies: mutating the result must not
 	// corrupt the stored entry.
-	nbc.Seq.Frames[0][0] = arch.Point{X: 9, Y: 9}
+	nbc.Seq.Runs[0].Frame[0] = arch.Point{X: 9, Y: 9}
 	again, _, _, ok := m.Lookup(fp, b, lo)
 	if !ok {
 		t.Fatal("second lookup rejected")
 	}
 	_ = again
 	_, _, bc2, _ := m.Lookup(fp, b, lo)
-	if bc2.Seq.Frames[0][0] != (arch.Point{X: 1, Y: 1}) {
+	if bc2.Seq.Runs[0].Frame[0] != (arch.Point{X: 1, Y: 1}) {
 		t.Error("mutating a lookup result corrupted the stored entry")
 	}
 }

@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -175,7 +176,7 @@ func (m *Memo) Store(fp string, b *cfg.Block, liveOut cfg.Set, bs *sched.BlockSc
 		}
 		e.items = append(e.items, rec)
 	}
-	e.seq = copySequence(bc.Seq)
+	e.seq, _ = translateSequence(bc.Seq, nil, nil)
 	e.entry = copyPositions(bc.Entry)
 	e.exit = copyPositions(bc.Exit)
 
@@ -369,59 +370,34 @@ func translatePositions(m map[ir.FluidID]arch.Point, sigma map[ir.FluidID]ir.Flu
 	return out, true
 }
 
-func copyCells(cs []arch.Point) []arch.Point {
-	if cs == nil {
-		return nil
-	}
-	return append([]arch.Point(nil), cs...)
-}
-
-// copyFrames deep-copies a frame stream, copying each run of repeated
-// frames once and sharing the copy across the run as codegen does.
-func copyFrames(fs []codegen.Frame) []codegen.Frame {
-	out := make([]codegen.Frame, len(fs))
-	for i, f := range fs {
-		if i > 0 && codegen.SameFrame(fs[i-1], f) {
-			out[i] = out[i-1]
-		} else {
-			out[i] = append(codegen.Frame(nil), f...)
-		}
-	}
-	return out
-}
-
-// copySequence deep-copies a sequence without renaming (Store's pristine
-// snapshot).
-func copySequence(s *codegen.Sequence) *codegen.Sequence {
-	if s == nil {
-		return nil
-	}
-	out := &codegen.Sequence{NumCycles: s.NumCycles, Frames: copyFrames(s.Frames), Tracks: map[ir.FluidID]*codegen.Track{}}
-	out.Events = make([]codegen.Event, len(s.Events))
-	for i, ev := range s.Events {
-		c := ev
-		c.Inputs = append([]ir.FluidID(nil), ev.Inputs...)
-		c.Results = append([]ir.FluidID(nil), ev.Results...)
-		c.Cells = copyCells(ev.Cells)
-		out.Events[i] = c
-	}
-	for f, tr := range s.Tracks {
-		out.Tracks[f] = &codegen.Track{Start: tr.Start, Cells: copyCells(tr.Cells)}
+// copyRuns deep-copies a sequence's runs.
+func copyRuns(rs []codegen.Run) []codegen.Run {
+	out := make([]codegen.Run, len(rs))
+	for i, r := range rs {
+		out[i] = codegen.Run{Frame: append(codegen.Frame(nil), r.Frame...), Len: r.Len}
 	}
 	return out
 }
 
 // translateSequence deep-copies a sequence, renaming fluids through σ and
-// retargeting event instruction IDs through idMap.
+// retargeting event instruction IDs through idMap. Nil maps copy without
+// renaming (Store's pristine snapshot).
 func translateSequence(s *codegen.Sequence, sigma map[ir.FluidID]ir.FluidID, idMap map[int]*ir.Instr) (*codegen.Sequence, bool) {
 	if s == nil {
 		return nil, true
 	}
-	out := &codegen.Sequence{NumCycles: s.NumCycles, Frames: copyFrames(s.Frames), Tracks: map[ir.FluidID]*codegen.Track{}}
+	rename := func(f ir.FluidID) (ir.FluidID, bool) {
+		if sigma == nil {
+			return f, true
+		}
+		nf, ok := sigma[f]
+		return nf, ok
+	}
+	out := &codegen.Sequence{NumCycles: s.NumCycles, Runs: copyRuns(s.Runs), Tracks: map[ir.FluidID]*codegen.Track{}}
 	mapAll := func(fs []ir.FluidID) ([]ir.FluidID, bool) {
 		outs := make([]ir.FluidID, len(fs))
 		for i, f := range fs {
-			nf, ok := sigma[f]
+			nf, ok := rename(f)
 			if !ok {
 				return nil, false
 			}
@@ -439,20 +415,22 @@ func translateSequence(s *codegen.Sequence, sigma map[ir.FluidID]ir.FluidID, idM
 		if c.Results, ok = mapAll(ev.Results); !ok {
 			return nil, false
 		}
-		c.Cells = copyCells(ev.Cells)
-		nin, ok := idMap[ev.InstrID]
-		if !ok {
-			return nil, false
+		c.Cells = slices.Clone(ev.Cells)
+		if idMap != nil {
+			nin, ok := idMap[ev.InstrID]
+			if !ok {
+				return nil, false
+			}
+			c.InstrID = nin.ID
 		}
-		c.InstrID = nin.ID
 		out.Events[i] = c
 	}
 	for f, tr := range s.Tracks {
-		nf, ok := sigma[f]
+		nf, ok := rename(f)
 		if !ok {
 			return nil, false
 		}
-		out.Tracks[nf] = &codegen.Track{Start: tr.Start, Cells: copyCells(tr.Cells)}
+		out.Tracks[nf] = &codegen.Track{Start: tr.Start, Stays: slices.Clone(tr.Stays)}
 	}
 	return out, true
 }

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/codegen"
@@ -33,7 +34,7 @@ type Persister interface {
 
 // memoWireTag versions the gob wire format of persisted memo entries.
 // Bump on any change to the wire structs below.
-const memoWireTag = "bfmemo1"
+const memoWireTag = "bfmemo2"
 
 // SetPersist attaches a disk layer: subsequent Stores are written through
 // and subsequent in-memory Lookup misses consult it before giving up.
@@ -80,7 +81,7 @@ type itemRecWire struct {
 // evolution (a codegen field rename must not silently change the format).
 type seqWire struct {
 	NumCycles int
-	Frames    [][]arch.Point
+	Runs      []codegen.Run
 	Events    []codegen.Event
 	Tracks    map[ir.FluidID]*codegen.Track
 }
@@ -101,12 +102,7 @@ func encodeMemoEntry(e *memoEntry) ([]byte, error) {
 		w.Items = append(w.Items, itemRecWire{InstrIdx: it.instrIdx, Fluid: it.fluid, Start: it.start, End: it.end, Asn: it.asn})
 	}
 	if e.seq != nil {
-		sw := &seqWire{NumCycles: e.seq.NumCycles, Tracks: e.seq.Tracks}
-		for _, f := range e.seq.Frames {
-			sw.Frames = append(sw.Frames, []arch.Point(f))
-		}
-		sw.Events = e.seq.Events
-		w.Seq = sw
+		w.Seq = &seqWire{NumCycles: e.seq.NumCycles, Runs: e.seq.Runs, Events: e.seq.Events, Tracks: e.seq.Tracks}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -140,18 +136,28 @@ func decodeMemoEntry(blob []byte) (*memoEntry, error) {
 		e.sigs = append(e.sigs, instrSig{id: sig.ID, hash: sig.Hash, args: sig.Args, results: sig.Results})
 	}
 	for _, it := range w.Items {
+		if it.InstrIdx < -1 || it.InstrIdx >= len(w.Sigs) {
+			return nil, fmt.Errorf("memo item names instruction %d of %d", it.InstrIdx, len(w.Sigs))
+		}
 		e.items = append(e.items, itemRec{instrIdx: it.InstrIdx, fluid: it.Fluid, start: it.Start, end: it.End, asn: it.Asn})
 	}
-	if w.Seq != nil {
-		seq := &codegen.Sequence{NumCycles: w.Seq.NumCycles, Events: w.Seq.Events, Tracks: w.Seq.Tracks}
-		for _, f := range w.Seq.Frames {
-			seq.Frames = append(seq.Frames, codegen.Frame(f))
-		}
-		if seq.Tracks == nil {
-			seq.Tracks = map[ir.FluidID]*codegen.Track{}
-		}
-		e.seq = seq
+	if w.Seq == nil {
+		return nil, fmt.Errorf("memo entry without a sequence")
 	}
+	seq := &codegen.Sequence{NumCycles: w.Seq.NumCycles, Runs: w.Seq.Runs, Events: w.Seq.Events, Tracks: w.Seq.Tracks}
+	if seq.Tracks == nil {
+		seq.Tracks = map[ir.FluidID]*codegen.Track{}
+	}
+	if err := seq.Validate(); err != nil {
+		return nil, fmt.Errorf("memo entry: %w", err)
+	}
+	for _, ev := range seq.Events {
+		// gob carries any float; compiled volumes are finite.
+		if math.IsNaN(ev.Volume) || math.IsInf(ev.Volume, 0) {
+			return nil, fmt.Errorf("memo entry: event volume %g", ev.Volume)
+		}
+	}
+	e.seq = seq
 	return e, nil
 }
 

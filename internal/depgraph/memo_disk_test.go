@@ -5,6 +5,7 @@ package depgraph
 // graceful degradation on undecodable blobs.
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -80,7 +81,7 @@ func TestMemoPersistRoundTrip(t *testing.T) {
 			t.Errorf("item %d lost its placement through the wire", i)
 		}
 	}
-	if nbc.Seq.NumCycles != bc.Seq.NumCycles || len(nbc.Seq.Frames) != len(bc.Seq.Frames) {
+	if nbc.Seq.NumCycles != bc.Seq.NumCycles || len(nbc.Seq.Runs) != len(bc.Seq.Runs) {
 		t.Fatalf("decoded sequence shape differs")
 	}
 	if nbc.Seq.Events[0].InstrID != rb.Instrs[0].ID {
@@ -132,8 +133,8 @@ func TestMemoPersistEncodeDecodeIdentity(t *testing.T) {
 			t.Errorf("sig %d differs through the wire", i)
 		}
 	}
-	if len(d.seq.Frames) != len(e.seq.Frames) || d.seq.Frames[0][0] != e.seq.Frames[0][0] {
-		t.Error("frames differ through the wire")
+	if !reflect.DeepEqual(d.seq.Runs, e.seq.Runs) {
+		t.Error("runs differ through the wire")
 	}
 	if len(d.entry) != len(e.entry) || len(d.exit) != len(e.exit) {
 		t.Error("entry/exit contracts differ through the wire")

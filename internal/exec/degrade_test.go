@@ -19,11 +19,11 @@ import (
 func moveSeq() *codegen.Sequence {
 	return &codegen.Sequence{
 		NumCycles: 3,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 0, Y: 1}}, // hold
 			{{X: 1, Y: 1}}, // move east
 			{{X: 0, Y: 1}}, // move back west
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 			outputEvent(3, fid("a"), arch.Point{X: 0, Y: 1}),
@@ -79,10 +79,10 @@ func TestStuckHoldIsUndetectable(t *testing.T) {
 	// Only the commanded move back onto the dead cell (0,1) detects it.
 	seq := &codegen.Sequence{
 		NumCycles: 2,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 0, Y: 1}}, // hold on the (dead) dispense cell: no signal
 			{{X: 0, Y: 1}}, // still holding
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 			outputEvent(2, fid("a"), arch.Point{X: 0, Y: 1}),
@@ -135,10 +135,10 @@ func TestFaultTieBreakDeterministic(t *testing.T) {
 	twoDroplets := func(idA, idB ir.FluidID) *codegen.Sequence {
 		return &codegen.Sequence{
 			NumCycles: 2,
-			Frames: []codegen.Frame{
+			Runs: runs([]codegen.Frame{
 				{{X: 0, Y: 1}, {X: 0, Y: 3}},
 				{{X: 0, Y: 1}, {X: 0, Y: 3}},
-			},
+			}),
 			Events: []codegen.Event{
 				dispenseEvent(0, idA, arch.Point{X: 0, Y: 1}),
 				dispenseEvent(0, idB, arch.Point{X: 0, Y: 3}),
@@ -179,10 +179,10 @@ func TestFaultTieBreakDeterministic(t *testing.T) {
 func TestFaultNearestWins(t *testing.T) {
 	seq := &codegen.Sequence{
 		NumCycles: 2,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 0, Y: 1}, {X: 0, Y: 4}},
 			{{X: 0, Y: 1}, {X: 0, Y: 4}},
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 			dispenseEvent(0, fid("b"), arch.Point{X: 0, Y: 4}),

@@ -419,61 +419,63 @@ func (m *machine) runSequence(s *codegen.Sequence, label string, isEdge bool) er
 		}
 		return nil
 	}
-	for t := 0; t < s.NumCycles; t++ {
-		f := s.Frames[t]
-		// A hold cycle with no droplet loss due leaves every droplet on
-		// the active cell it already occupies, so it records what the
-		// cycle before it recorded: telemetry counts the run and records
-		// it once.
-		hold := m.met != nil && t > 0 && (evIdx == len(s.Events) || s.Events[evIdx].Cycle != t) &&
-			!m.faultDue() && codegen.SameFrame(s.Frames[t-1], f)
-		if !hold {
-			m.flushHeld()
-		}
-		if err := applyEvents(t); err != nil {
-			return err
-		}
-		m.injectFaults()
-		if err := m.applyFrame(f, label, t); err != nil {
-			return m.failAt(label, err)
-		}
-		if m.residue != nil {
-			for _, d := range m.droplets {
-				m.residue.touch(d, m.res.Cycles, label)
+	t := 0
+	for _, run := range s.Runs {
+		f := run.Frame
+		for k := 0; k < run.Len; k, t = k+1, t+1 {
+			// A cycle after the first of its run, with no event and no
+			// droplet loss due, leaves every droplet on the active cell
+			// it already occupies, so it records what the cycle before
+			// it recorded: telemetry counts the run and records it once.
+			hold := m.met != nil && k > 0 && (evIdx == len(s.Events) || s.Events[evIdx].Cycle != t) && !m.faultDue()
+			if !hold {
+				m.flushHeld()
 			}
-		}
-		m.res.Cycles++
-		if m.ds != nil {
-			m.ds.advance(f)
-		}
-		if m.met != nil {
-			if hold {
-				m.held++
-				m.heldFrame = f
-			} else {
-				m.recordCycles(f, 1)
+			if err := applyEvents(t); err != nil {
+				return err
 			}
-		}
-		if m.simCycles != nil {
-			m.simCycles.Inc()
-			m.simActs.Add(int64(len(f)))
-			m.simDrops.Set(int64(len(m.droplets)))
-		}
-		if m.res.Cycles > m.opts.MaxCycles {
-			return m.failAt(label, fmt.Errorf("execution exceeded %d cycles (runaway loop?)", m.opts.MaxCycles))
-		}
-		if m.opts.Context != nil && m.res.Cycles%ctxCheckCycles == 0 {
-			if err := m.opts.Context.Err(); err != nil {
+			m.injectFaults()
+			if err := m.applyFrame(f, label, t); err != nil {
 				return m.failAt(label, err)
 			}
-		}
-		if m.opts.FrameHook != nil {
-			m.flushHeld()
-			m.opts.FrameHook(m.res.Cycles, label, f, m.dropletList())
-		}
-		if m.opts.MetricsHook != nil && m.met != nil {
-			m.flushHeld()
-			m.opts.MetricsHook(m.res.Cycles, m.met)
+			if m.residue != nil {
+				for _, d := range m.droplets {
+					m.residue.touch(d, m.res.Cycles, label)
+				}
+			}
+			m.res.Cycles++
+			if m.ds != nil {
+				m.ds.advance(f)
+			}
+			if m.met != nil {
+				if hold {
+					m.held++
+					m.heldFrame = f
+				} else {
+					m.recordCycles(f, 1)
+				}
+			}
+			if m.simCycles != nil {
+				m.simCycles.Inc()
+				m.simActs.Add(int64(len(f)))
+				m.simDrops.Set(int64(len(m.droplets)))
+			}
+			if m.res.Cycles > m.opts.MaxCycles {
+				return m.failAt(label, fmt.Errorf("execution exceeded %d cycles (runaway loop?)", m.opts.MaxCycles))
+			}
+			if m.opts.Context != nil && m.res.Cycles%ctxCheckCycles == 0 {
+				if err := m.opts.Context.Err(); err != nil {
+					return m.failAt(label, err)
+				}
+			}
+			if m.opts.FrameHook != nil {
+				m.flushHeld()
+				m.opts.FrameHook(m.res.Cycles, label, f, m.dropletList())
+			}
+			if m.opts.MetricsHook != nil && m.met != nil {
+				m.flushHeld()
+				m.opts.MetricsHook(m.res.Cycles, m.met)
+			}
 		}
 	}
 	m.flushHeld()

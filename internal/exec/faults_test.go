@@ -20,6 +20,15 @@ import (
 
 // miniExec builds a one-block executable whose block sequence is supplied
 // by the caller.
+// runs makes one run per frame, one cycle each.
+func runs(frames []codegen.Frame) []codegen.Run {
+	out := make([]codegen.Run, len(frames))
+	for i, f := range frames {
+		out[i] = codegen.Run{Frame: f, Len: 1}
+	}
+	return out
+}
+
 func miniExec(t *testing.T, seq *codegen.Sequence) (*codegen.Executable, *arch.Chip) {
 	t.Helper()
 	chip := arch.Default()
@@ -90,10 +99,10 @@ func TestFaultStrandedDroplet(t *testing.T) {
 	// Droplet appears at (0,1); next frame activates nothing near it.
 	seq := &codegen.Sequence{
 		NumCycles: 2,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 0, Y: 1}},
 			{{X: 9, Y: 9}}, // far away: droplet stranded
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 			outputEvent(2, fid("a"), arch.Point{X: 9, Y: 9}),
@@ -113,10 +122,10 @@ func TestFaultTornDroplet(t *testing.T) {
 	// the tear diagnostic from the count check.
 	seq := &codegen.Sequence{
 		NumCycles: 2,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 5, Y: 1}, {X: 6, Y: 1}},
 			{{X: 4, Y: 1}, {X: 6, Y: 1}}, // a torn between (4,1) and (6,1)
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 5, Y: 1}),
 			dispenseEvent(0, fid("b"), arch.Point{X: 6, Y: 1}),
@@ -133,9 +142,9 @@ func TestFaultElectrodeCountMismatch(t *testing.T) {
 	// Two electrodes active for one droplet.
 	seq := &codegen.Sequence{
 		NumCycles: 1,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 0, Y: 1}, {X: 10, Y: 10}},
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 		},
@@ -150,7 +159,7 @@ func TestFaultElectrodeCountMismatch(t *testing.T) {
 func TestFaultDoubleDispense(t *testing.T) {
 	seq := &codegen.Sequence{
 		NumCycles: 1,
-		Frames:    []codegen.Frame{{{X: 0, Y: 1}}},
+		Runs:      runs([]codegen.Frame{{{X: 0, Y: 1}}}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 4}),
@@ -166,7 +175,7 @@ func TestFaultDoubleDispense(t *testing.T) {
 func TestFaultOutputWrongPlace(t *testing.T) {
 	seq := &codegen.Sequence{
 		NumCycles: 1,
-		Frames:    []codegen.Frame{{{X: 0, Y: 1}}},
+		Runs:      runs([]codegen.Frame{{{X: 0, Y: 1}}}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 			outputEvent(1, fid("a"), arch.Point{X: 18, Y: 2}), // droplet is not there
@@ -198,10 +207,10 @@ func TestFaultLeftoverDroplets(t *testing.T) {
 	// at protocol end (conservation).
 	seq := &codegen.Sequence{
 		NumCycles: 2,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 0, Y: 1}},
 			{{X: 0, Y: 1}},
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 		},
@@ -228,10 +237,10 @@ func TestSensorFaultDiagnosableFromTrace(t *testing.T) {
 	// assert the trace structure from the mini executable with a sense)
 	seq := &codegen.Sequence{
 		NumCycles: 2,
-		Frames: []codegen.Frame{
+		Runs: runs([]codegen.Frame{
 			{{X: 0, Y: 1}},
 			{{X: 0, Y: 1}},
-		},
+		}),
 		Events: []codegen.Event{
 			dispenseEvent(0, fid("a"), arch.Point{X: 0, Y: 1}),
 			{Cycle: 2, Kind: codegen.EvSense, InstrID: 7,

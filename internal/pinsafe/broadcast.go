@@ -2,6 +2,7 @@ package pinsafe
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"biocoder/internal/arch"
@@ -68,99 +69,105 @@ func (a *Analysis) Verify(m *PinMap) []verify.Diag {
 // order is rebuilt only after events.
 func (v *bcastVerifier) sequence(si seqInfo) {
 	s := si.seq
-	base := clonePos(si.rep.Start)
-	bpos := clonePos(si.rep.Start)
+	base := maps.Clone(si.rep.Start)
+	bpos := maps.Clone(si.rep.Start)
 	order := sortedFluids(bpos)
 	moves := si.rep.Moves
 	mi, evIdx := 0, 0
 	seenFaulty := map[arch.Point]bool{}
-	// Per-cycle scratch: the frame's broadcast closure and the distinct
+	// Per-step scratch: the frame's broadcast closure and the distinct
 	// pins it drives, ascending.
 	active := map[arch.Point]bool{}
 	var driven []int
-	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
-		fired := false
-		for evIdx < len(s.Events) && s.Events[evIdx].Cycle <= t {
-			applyEvent(s.Events[evIdx], base)
-			applyEvent(s.Events[evIdx], bpos)
-			evIdx++
-			fired = true
-		}
-		if fired {
-			order = sortedFluids(bpos)
-		}
-		frame := s.Frames[t]
-		if t > 0 && !fired && (mi >= len(moves) || moves[mi].Cycle > t) && codegen.SameFrame(s.Frames[t-1], frame) {
-			// A hold cycle with no baseline move: the closure is the last
-			// cycle's, under which every droplet held where the baseline
-			// has it, so it holds again.
-			continue
-		}
-		clear(active)
-		for _, c := range frame {
-			active[c] = true
-		}
-		driven = driven[:0]
-		for _, c := range frame {
-			if pin, ok := v.pins[c]; ok {
-				driven = append(driven, pin)
+	t := 0
+	for _, run := range s.Runs {
+		frame := run.Frame
+		// The closure is applied at the run's first cycle and again at
+		// each event inside the run, the only cycles where the baseline
+		// replay moves a droplet. In between it is the closure every
+		// droplet last held under, on its baseline cell, so every
+		// droplet holds again.
+		for end := t + run.Len; t < end; {
+			fired := false
+			for evIdx < len(s.Events) && s.Events[evIdx].Cycle <= t {
+				applyEvent(s.Events[evIdx], base)
+				applyEvent(s.Events[evIdx], bpos)
+				evIdx++
+				fired = true
 			}
-		}
-		slices.Sort(driven)
-		driven = slices.Compact(driven)
-		for _, pin := range driven {
-			for _, c := range v.groups[pin] {
-				if active[c] || !v.a.chip.InBounds(c) {
-					continue
-				}
-				if v.a.topo != nil && v.a.topo.Faulty(c) {
-					if !seenFaulty[c] {
-						seenFaulty[c] = true
-						v.errorf("BF503",
-							verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: c, HasCell: true},
-							"broadcast closure of pin %d actuates defective electrode %v", pin, c)
-					}
-					continue
-				}
+			if fired {
+				order = sortedFluids(bpos)
+			}
+			clear(active)
+			for _, c := range frame {
 				active[c] = true
 			}
-		}
-		for ; mi < len(moves) && moves[mi].Cycle == t; mi++ {
-			base[moves[mi].Fluid] = moves[mi].To
-		}
-		for _, f := range order {
-			p := bpos[f]
-			if active[p] {
-				continue // hold
-			}
-			var next arch.Point
-			n := 0
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				if q := p.Add(d[0], d[1]); active[q] {
-					next = q
-					n++
+			driven = driven[:0]
+			for _, c := range frame {
+				if pin, ok := v.pins[c]; ok {
+					driven = append(driven, pin)
 				}
 			}
-			switch n {
-			case 1:
-				bpos[f] = next
-			case 0:
-				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-					"droplet %s at %v stranded under broadcast actuation: no active electrode in reach", f, p)
-				return
-			default:
-				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-					"droplet %s at %v torn between %d active electrodes under broadcast actuation", f, p, n)
-				return
+			slices.Sort(driven)
+			driven = slices.Compact(driven)
+			for _, pin := range driven {
+				for _, c := range v.groups[pin] {
+					if active[c] || !v.a.chip.InBounds(c) {
+						continue
+					}
+					if v.a.topo != nil && v.a.topo.Faulty(c) {
+						if !seenFaulty[c] {
+							seenFaulty[c] = true
+							v.errorf("BF503",
+								verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: c, HasCell: true},
+								"broadcast closure of pin %d actuates defective electrode %v", pin, c)
+						}
+						continue
+					}
+					active[c] = true
+				}
 			}
-		}
-		// base and bpos hold the same droplets: events apply to both, and
-		// baseline moves name only droplets on the chip.
-		for _, f := range order {
-			if bpos[f] != base[f] {
-				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: bpos[f], HasCell: true},
-					"broadcast actuation diverts droplet %s to %v; the program expects %v", f, bpos[f], base[f])
-				return
+			for ; mi < len(moves) && moves[mi].Cycle == t; mi++ {
+				base[moves[mi].Fluid] = moves[mi].To
+			}
+			for _, f := range order {
+				p := bpos[f]
+				if active[p] {
+					continue // hold
+				}
+				var next arch.Point
+				n := 0
+				for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+					if q := p.Add(d[0], d[1]); active[q] {
+						next = q
+						n++
+					}
+				}
+				switch n {
+				case 1:
+					bpos[f] = next
+				case 0:
+					v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
+						"droplet %s at %v stranded under broadcast actuation: no active electrode in reach", f, p)
+					return
+				default:
+					v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
+						"droplet %s at %v torn between %d active electrodes under broadcast actuation", f, p, n)
+					return
+				}
+			}
+			// base and bpos hold the same droplets: events apply to
+			// both, and baseline moves name only droplets on the chip.
+			for _, f := range order {
+				if bpos[f] != base[f] {
+					v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: bpos[f], HasCell: true},
+						"broadcast actuation diverts droplet %s to %v; the program expects %v", f, bpos[f], base[f])
+					return
+				}
+			}
+			t = end
+			if evIdx < len(s.Events) && s.Events[evIdx].Cycle < t {
+				t = s.Events[evIdx].Cycle
 			}
 		}
 	}
@@ -190,14 +197,6 @@ func applyEvent(ev codegen.Event, pos map[ir.FluidID]arch.Point) {
 		delete(pos, ev.Inputs[0])
 		pos[ev.Results[0]] = p
 	}
-}
-
-func clonePos(m map[ir.FluidID]arch.Point) map[ir.FluidID]arch.Point {
-	out := make(map[ir.FluidID]arch.Point, len(m))
-	for f, p := range m {
-		out[f] = p
-	}
-	return out
 }
 
 func sortedFluids(m map[ir.FluidID]arch.Point) []ir.FluidID {

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"biocoder/internal/arch"
@@ -32,7 +32,7 @@ func (m *PinMap) Cells() []arch.Point {
 	for c := range m.Pins {
 		cells = append(cells, c)
 	}
-	sort.Slice(cells, func(i, j int) bool { return rowMajorLess(cells[i], cells[j]) })
+	slices.SortFunc(cells, arch.Point.Compare)
 	return cells
 }
 

@@ -37,9 +37,10 @@
 package pinsafe
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"biocoder/internal/arch"
@@ -155,50 +156,44 @@ func New(ctx context.Context, u *verify.Unit) (*Analysis, error) {
 		}
 		a.scan(si)
 	}
-	sort.Slice(a.used, func(i, j int) bool { return rowMajorLess(a.used[i], a.used[j]) })
+	slices.SortFunc(a.used, arch.Point.Compare)
 	return a, nil
 }
 
-func rowMajorLess(p, q arch.Point) bool {
-	if p.Y != q.Y {
-		return p.Y < q.Y
-	}
-	return p.X < q.X
-}
-
-// scan walks one sequence cycle by cycle, accumulating used electrodes and
-// interference edges. At each cycle the cells that would perturb a moving
+// scan walks one sequence run by run, accumulating used electrodes and
+// interference edges. At each move the cells that would perturb the moving
 // droplet are the cell it leaves (co-actuating it makes the droplet hold)
 // and the passive neighbors of that cell (a second active neighbor tears
-// the droplet); cells already in the frame are harmless — they are actuated
-// anyway — and defective cells cannot actuate, so neither interferes.
+// the droplet); cells already in the frame are harmless — they are
+// actuated anyway — and defective cells cannot actuate, so neither
+// interferes. Moves happen only where the replay applies a frame, under
+// the frame of the run they fall in.
 func (a *Analysis) scan(si seqInfo) {
 	s := si.seq
 	moves := si.rep.Moves
 	mi := 0
 	inFrame := map[arch.Point]bool{}
-	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
-		frame := s.Frames[t]
-		if t == 0 || !codegen.SameFrame(s.Frames[t-1], frame) {
-			for _, c := range frame {
-				if !a.usedSet[c] {
-					a.usedSet[c] = true
-					a.used = append(a.used, c)
-				}
+	end := 0
+	for _, run := range s.Runs {
+		end += run.Len
+		for _, c := range run.Frame {
+			if !a.usedSet[c] {
+				a.usedSet[c] = true
+				a.used = append(a.used, c)
 			}
 		}
-		if mi >= len(moves) || moves[mi].Cycle > t {
-			continue // nothing moves this cycle: extra actuations are inert
+		if mi >= len(moves) || moves[mi].Cycle >= end {
+			continue // nothing moves in this run: extra actuations are inert
 		}
 		clear(inFrame)
-		for _, c := range frame {
+		for _, c := range run.Frame {
 			inFrame[c] = true
 		}
-		for ; mi < len(moves) && moves[mi].Cycle == t; mi++ {
+		for ; mi < len(moves) && moves[mi].Cycle < end; mi++ {
 			mv := moves[mi]
-			a.harm(si.scope, t, mv, mv.From, true, frame, inFrame)
+			a.harm(si.scope, mv.Cycle, mv, mv.From, true, run.Frame, inFrame)
 			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				a.harm(si.scope, t, mv, mv.From.Add(d[0], d[1]), false, frame, inFrame)
+				a.harm(si.scope, mv.Cycle, mv, mv.From.Add(d[0], d[1]), false, run.Frame, inFrame)
 			}
 		}
 	}
@@ -227,7 +222,7 @@ func (a *Analysis) harm(scope string, t int, mv verify.Move, h arch.Point, hold 
 }
 
 func pairKey(p, q arch.Point) [2]arch.Point {
-	if rowMajorLess(q, p) {
+	if q.Compare(p) < 0 {
 		p, q = q, p
 	}
 	return [2]arch.Point{p, q}
@@ -253,12 +248,7 @@ func (a *Analysis) Conflicts() []Conflict {
 	for _, c := range a.conflicts {
 		out = append(out, *c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return rowMajorLess(out[i].A, out[j].A)
-		}
-		return rowMajorLess(out[i].B, out[j].B)
-	})
+	slices.SortFunc(out, func(x, y Conflict) int { return cmp.Or(x.A.Compare(y.A), x.B.Compare(y.B)) })
 	return out
 }
 

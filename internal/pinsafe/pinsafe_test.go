@@ -46,17 +46,17 @@ func routeExec(t *testing.T) *codegen.Executable {
 	g.AddEdge(b1, g.Exit)
 
 	const numCycles = 11
-	frames := make([]codegen.Frame, numCycles)
+	runs := make([]codegen.Run, numCycles)
 	path := []arch.Point{
 		pt(0, 2), pt(1, 2), pt(2, 2), pt(3, 2), pt(4, 2), pt(5, 2),
 		pt(6, 2), pt(7, 2), pt(8, 2), pt(8, 3), pt(8, 4),
 	}
 	for i, c := range path {
-		frames[i] = codegen.Frame{c}
+		runs[i] = codegen.Run{Frame: codegen.Frame{c}, Len: 1}
 	}
 	seq := &codegen.Sequence{
 		NumCycles: numCycles,
-		Frames:    frames,
+		Runs:      runs,
 		Events: []codegen.Event{
 			{Cycle: 0, Kind: codegen.EvDispense, InstrID: 0, Results: []ir.FluidID{fl("a")},
 				Cells: []arch.Point{pt(0, 2)}, Port: "in1", Fluid: "water", Volume: 1},
@@ -203,7 +203,7 @@ func TestBF503DefectiveBroadcast(t *testing.T) {
 func TestAnalyzeRejectsBrokenBaseline(t *testing.T) {
 	ex := routeExec(t)
 	bc := ex.Blocks[mustBlock(t, ex, "b1").ID]
-	bc.Seq.Frames[3] = codegen.Frame{} // strand the droplet mid-route
+	bc.Seq.Runs[3].Frame = codegen.Frame{} // strand the droplet mid-route
 	if _, err := pinsafe.Analyze(&verify.Unit{Exec: ex}, pinsafe.Config{}); err == nil {
 		t.Fatal("executable failing baseline replay accepted")
 	}

@@ -72,8 +72,7 @@ func (c *context) checkDuty() {
 
 // dutySequence reports each electrode of s whose longest continuous
 // actuation streak exceeds limit cycles (one diagnostic per electrode, at
-// its worst streak). A run of identical frames extends every streak it
-// touches by the run's length in one step.
+// its worst streak). A run extends every streak it touches by its length.
 func (c *context) dutySequence(s *codegen.Sequence, where string, limit int) {
 	if s == nil {
 		return
@@ -84,21 +83,16 @@ func (c *context) dutySequence(s *codegen.Sequence, where string, limit int) {
 	type duty struct{ streak, end int }
 	cur := map[[2]int]duty{}
 	worst := map[[2]int]int{} // cell -> longest streak seen
-	// Trust len(Frames) over NumCycles: a malformed sequence declaring more
-	// cycles than it has frames is BF101's finding, not a reason to crash.
-	n := min(s.NumCycles, len(s.Frames))
-	for t := 0; t < n; {
-		next := t + 1
-		for next < n && codegen.SameFrame(s.Frames[t], s.Frames[next]) {
-			next++
-		}
-		for _, cell := range s.Frames[t] {
+	t := 0
+	for _, run := range s.Runs {
+		next := t + run.Len
+		for _, cell := range run.Frame {
 			k := [2]int{cell.X, cell.Y}
 			d := cur[k]
 			if d.end != t && d.end != next {
 				d.streak = 0 // idle at cycle t-1: a new streak starts
 			}
-			d.streak += next - t
+			d.streak += run.Len
 			d.end = next
 			cur[k] = d
 			if d.streak > worst[k] {

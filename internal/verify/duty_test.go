@@ -75,10 +75,22 @@ func dutyReference(frames []codegen.Frame) map[arch.Point]int {
 	return worst
 }
 
-// BF401 extends a streak by a whole run of identical frames at once; the
-// streaks it reports must be the per-cycle scan's, on the compiled opiate
-// assay and on a hand-built sequence mixing a shared hold frame, an equal
-// frame that is not shared, a duplicated cell and broken streaks.
+// denseFrames expands a sequence's runs to one frame per cycle, the form
+// the per-cycle reference scans read.
+func denseFrames(s *codegen.Sequence) []codegen.Frame {
+	var out []codegen.Frame
+	for _, r := range s.Runs {
+		for k := 0; k < r.Len; k++ {
+			out = append(out, r.Frame)
+		}
+	}
+	return out
+}
+
+// BF401 extends a streak by a whole run at once; the streaks it reports
+// must be the per-cycle scan's, on the compiled opiate assay and on a
+// hand-built sequence mixing a hold cut into two runs of one frame, a
+// duplicated cell and broken streaks.
 func TestDutyStreaksMatchPerCycleScan(t *testing.T) {
 	prog, err := biocoder.Compile(assays.Opiate().Build(), biocoder.Options{})
 	if err != nil {
@@ -90,11 +102,12 @@ func TestDutyStreaksMatchPerCycleScan(t *testing.T) {
 		ex.Blocks[id] = bc
 	}
 	a, b := arch.Point{X: 1, Y: 1}, arch.Point{X: 2, Y: 1}
-	hold := codegen.Frame{a}
-	frames := []codegen.Frame{hold, hold, hold, {a}, {a, b}, {a, b}, {b}, {a}, {a, a}, {a, a}, {a, a}, {b}}
+	runs := []codegen.Run{{Frame: codegen.Frame{a}, Len: 3}, {Frame: codegen.Frame{a}, Len: 1},
+		{Frame: codegen.Frame{a, b}, Len: 2}, {Frame: codegen.Frame{b}, Len: 1}, {Frame: codegen.Frame{a}, Len: 1},
+		{Frame: codegen.Frame{a, a}, Len: 3}, {Frame: codegen.Frame{b}, Len: 1}}
 	hand := &codegen.BlockCode{
 		Block: &cfg.Block{ID: 1 << 20, Label: "hand"},
-		Seq:   &codegen.Sequence{NumCycles: len(frames), Frames: frames},
+		Seq:   &codegen.Sequence{NumCycles: 12, Runs: runs},
 	}
 	ex.Blocks[hand.Block.ID] = hand
 
@@ -104,7 +117,7 @@ func TestDutyStreaksMatchPerCycleScan(t *testing.T) {
 
 	want := map[string]bool{}
 	addWant := func(scope string, seq *codegen.Sequence) {
-		for c, n := range dutyReference(seq.Frames) {
+		for c, n := range dutyReference(denseFrames(seq)) {
 			if n > 1 {
 				want[fmt.Sprintf("%s: electrode (%d,%d) actuated continuously for %d cycles", scope, c.X, c.Y, n)] = true
 			}

@@ -78,9 +78,13 @@ func handExec(t *testing.T) (*codegen.Executable, *codegen.BlockCode) {
 	hold(8, 11, pt(3, 4))
 	walk(12, pt(4, 4), pt(5, 4), pt(6, 4), pt(7, 4), pt(8, 4))
 
+	runs := make([]codegen.Run, numCycles)
+	for i, f := range frames {
+		runs[i] = codegen.Run{Frame: f, Len: 1}
+	}
 	seq := &codegen.Sequence{
 		NumCycles: numCycles,
-		Frames:    frames,
+		Runs:      runs,
 		Events: []codegen.Event{
 			{Cycle: 0, Kind: codegen.EvDispense, InstrID: 0, Results: []ir.FluidID{fl("a")},
 				Cells: []arch.Point{pt(0, 2)}, Port: "in1", Fluid: "water", Volume: 1},
@@ -146,7 +150,7 @@ func TestHandExecutableVerifiesClean(t *testing.T) {
 
 func TestBF101FrameCountMismatch(t *testing.T) {
 	ex, bc := handExec(t)
-	bc.Seq.Frames = bc.Seq.Frames[:len(bc.Seq.Frames)-1] // one frame short
+	bc.Seq.Runs = bc.Seq.Runs[:len(bc.Seq.Runs)-1] // one cycle short
 	wantCode(t, execReport(t, ex), "BF101")
 }
 
@@ -155,7 +159,7 @@ func TestBF102DropletsAdjacent(t *testing.T) {
 	// outputting it: s0's approach then comes within one electrode of it.
 	ex, bc := handExec(t)
 	for tc := 12; tc <= 15; tc++ {
-		bc.Seq.Frames[tc] = append(bc.Seq.Frames[tc], pt(8, 4))
+		bc.Seq.Runs[tc].Frame = append(bc.Seq.Runs[tc].Frame, pt(8, 4))
 	}
 	for i := range bc.Seq.Events {
 		ev := &bc.Seq.Events[i]
@@ -172,7 +176,7 @@ func TestBF102DropletsAdjacent(t *testing.T) {
 
 func TestBF103OffChipActuation(t *testing.T) {
 	ex, bc := handExec(t)
-	bc.Seq.Frames[3] = append(bc.Seq.Frames[3], pt(9, 4)) // beyond the 9x9 array
+	bc.Seq.Runs[3].Frame = append(bc.Seq.Runs[3].Frame, pt(9, 4)) // beyond the 9x9 array
 	wantCode(t, execReport(t, ex), "BF103")
 }
 
@@ -247,9 +251,9 @@ func TestBF106DroppedTransfer(t *testing.T) {
 func TestBF107StrandedDroplet(t *testing.T) {
 	// Move b's cycle-1 electrode out of its reach: no active neighbor.
 	ex, bc := handExec(t)
-	for i, c := range bc.Seq.Frames[1] {
+	for i, c := range bc.Seq.Runs[1].Frame {
 		if c == pt(1, 6) {
-			bc.Seq.Frames[1][i] = pt(3, 6)
+			bc.Seq.Runs[1].Frame[i] = pt(3, 6)
 		}
 	}
 	wantCode(t, execReport(t, ex), "BF107")
@@ -264,7 +268,7 @@ func TestBF108SkewedSplit(t *testing.T) {
 			bc.Seq.Events[i].Cells[0] = pt(3, 4)
 		}
 	}
-	bc.Seq.Frames[7] = codegen.Frame{pt(3, 4)}
+	bc.Seq.Runs[7].Frame = codegen.Frame{pt(3, 4)}
 	rep := execReport(t, ex)
 	wantCode(t, rep, "BF108")
 	if len(rep.Diags) != 1 {

@@ -18,6 +18,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
@@ -294,6 +295,10 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 		return nil
 	}
 	mates := mergeMates(s)
+	if r.record {
+		// Most runs move one droplet: size the touches for that.
+		r.cur = slices.Grow(r.cur, len(start)+len(s.Runs)+len(s.Events))
+	}
 	pos := make(map[ir.FluidID]arch.Point, len(start))
 	for f, p := range start {
 		pos[f] = p
@@ -302,7 +307,6 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 	// order holds the droplets in canonical order. Frames move droplets but
 	// never change the population, so it is rebuilt only after events.
 	order := sortedFluids(pos)
-	active := map[arch.Point]bool{}
 	evIdx := 0
 	// applyEvents applies the events due by cycle t and reports whether
 	// any fired.
@@ -320,25 +324,31 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 		return fired, true
 	}
 	seenAdj := map[[2]ir.FluidID]bool{}
-	for t := 0; t < s.NumCycles; t++ {
-		fired, ok := applyEvents(t)
-		if !ok {
-			return nil
-		}
-		if t > 0 && !fired && codegen.SameFrame(s.Frames[t-1], s.Frames[t]) {
-			// A hold cycle: the last frame left every droplet on an
-			// active cell, so under the same frame every droplet holds.
-			continue
-		}
-		moved, ok := r.applyFrame(scope, s.Frames[t], t, pos, order, active)
-		if !ok {
-			return nil
-		}
-		// Every adjacent pair of the last checked cycle is already in
-		// seenAdj, so a cycle that changed no position or population
-		// cannot add a finding.
-		if t == 0 || fired || moved {
-			r.checkAdjacency(scope, t, pos, order, mates, seenAdj)
+	t := 0
+	for _, run := range s.Runs {
+		// The frame is applied at the run's first cycle and again after
+		// each event inside the run. In between, every droplet sits on
+		// an active electrode of the frame it last moved under, so under
+		// the same frame it holds: no touch, no move, no new pair.
+		for end := t + run.Len; t < end; {
+			fired, ok := applyEvents(t)
+			if !ok {
+				return nil
+			}
+			moved, ok := r.applyFrame(scope, run.Frame, t, pos, order)
+			if !ok {
+				return nil
+			}
+			// Every adjacent pair of the last checked cycle is already
+			// in seenAdj, so a cycle that changed no position or
+			// population cannot add a finding.
+			if t == 0 || fired || moved {
+				r.checkAdjacency(scope, t, pos, order, mates, seenAdj)
+			}
+			t = end
+			if evIdx < len(s.Events) && s.Events[evIdx].Cycle < end {
+				t = s.Events[evIdx].Cycle
+			}
 		}
 	}
 	if _, ok := applyEvents(s.NumCycles); !ok {
@@ -347,24 +357,21 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 	return pos
 }
 
-// scanStatic checks the sequence's shape without interpreting it: frame
-// count against the declared cycle count, every activated electrode on a
-// working on-chip cell, and event cycles within range.
+// scanStatic checks the sequence's shape without interpreting it: run
+// lengths against the declared cycle count, every activated electrode on
+// a working on-chip cell, and event cycles within range.
 func (r *replayer) scanStatic(scope string, s *codegen.Sequence) bool {
 	ok := true
-	if s.NumCycles < 0 || len(s.Frames) != s.NumCycles {
-		r.errorf("BF101", Pos{Scope: scope, InstrID: -1, Cycle: -1},
-			"sequence declares %d cycles but carries %d frames", s.NumCycles, len(s.Frames))
-		ok = false
-	}
 	badCell := map[arch.Point]bool{}
-	for t := 0; t < len(s.Frames) && t < s.NumCycles; t++ {
-		if t > 0 && codegen.SameFrame(s.Frames[t-1], s.Frames[t]) {
-			continue // every cell was checked, and reported, last cycle
+	t := 0
+	for _, run := range s.Runs {
+		if run.Len < 1 {
+			r.errorf("BF101", Pos{Scope: scope, InstrID: -1, Cycle: t}, "run of %d cycles at cycle %d", run.Len, t)
+			ok = false
 		}
-		for _, cell := range s.Frames[t] {
+		for _, cell := range run.Frame {
 			if badCell[cell] {
-				continue
+				continue // checked, and reported, in an earlier run
 			}
 			if !r.unit.Chip.InBounds(cell) {
 				badCell[cell] = true
@@ -376,6 +383,12 @@ func (r *replayer) scanStatic(scope string, s *codegen.Sequence) bool {
 					"actuation of defective electrode %v", cell)
 			}
 		}
+		t += run.Len
+	}
+	if s.NumCycles < 0 || t != s.NumCycles {
+		r.errorf("BF101", Pos{Scope: scope, InstrID: -1, Cycle: -1},
+			"sequence declares %d cycles but its runs cover %d", s.NumCycles, t)
+		ok = false
 	}
 	lastCycle := -1
 	for _, ev := range s.Events {
@@ -623,27 +636,46 @@ func (r *replayer) checkHeat(dpos Pos, ev codegen.Event, p arch.Point) {
 
 // applyFrame moves every replayed droplet according to the activated
 // electrodes, exactly as the runtime interpreter (and the chip) would,
-// visiting droplets in the given canonical order. active is scratch space
-// for the frame's electrode set. It reports whether any droplet moved.
-func (r *replayer) applyFrame(scope string, f codegen.Frame, t int, pos map[ir.FluidID]arch.Point, order []ir.FluidID, active map[arch.Point]bool) (moved, ok bool) {
-	clear(active)
-	for _, c := range f {
-		active[c] = true
+// visiting droplets in the given canonical order. It reports whether any
+// droplet moved.
+func (r *replayer) applyFrame(scope string, f codegen.Frame, t int, pos map[ir.FluidID]arch.Point, order []ir.FluidID) (moved, ok bool) {
+	// Codegen and Decode emit frames sorted row-major; any other frame
+	// is sorted here, so that an electrode is found by binary search.
+	if !slices.IsSortedFunc(f, arch.Point.Compare) {
+		f = slices.Clone(f)
+		slices.SortFunc(f, arch.Point.Compare)
 	}
-	if len(active) != len(pos) {
+	active := func(c arch.Point) bool {
+		lo, hi := 0, len(f)
+		for lo < hi {
+			if m := (lo + hi) / 2; f[m].Y < c.Y || f[m].Y == c.Y && f[m].X < c.X {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		return lo < len(f) && f[lo] == c
+	}
+	electrodes := len(f)
+	for i := 1; i < len(f); i++ {
+		if f[i] == f[i-1] {
+			electrodes--
+		}
+	}
+	if electrodes != len(pos) {
 		r.errorf("BF101", Pos{Scope: scope, InstrID: -1, Cycle: t},
-			"%d electrodes active for %d droplets", len(active), len(pos))
+			"%d electrodes active for %d droplets", electrodes, len(pos))
 		return false, false
 	}
 	for _, f := range order {
 		p := pos[f]
-		if active[p] {
+		if active(p) {
 			continue // hold
 		}
 		var next arch.Point
 		n := 0
 		for _, delta := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			if q := p.Add(delta[0], delta[1]); active[q] {
+			if q := p.Add(delta[0], delta[1]); active(q) {
 				next = q
 				n++
 			}

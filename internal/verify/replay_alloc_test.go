@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -83,31 +84,61 @@ func TestReplayAllocsIndependentOfHoldLength(t *testing.T) {
 	}
 }
 
-// holdAllocSlack bounds how many more allocations the 450 s hold may cost
-// than the 45 s hold in Compile and Load (averaged over ten runs; the
-// parent of this test measured about 81,000 more). Neither allocates per
-// cycle; the slack covers slices whose growth steps depend on their final
-// length, and, in race builds, the objects sync.Pool drops at random.
-const holdAllocSlack = 32
+// holdAllocSlack and holdByteSlack bound how many more allocations and
+// bytes the 450 s hold may cost than the 45 s hold in Compile and Load
+// (averaged over ten runs). Before run-length sequences the 450 s hold
+// cost about 81,000 more allocations and 1.6 MB more. Neither allocates
+// per cycle now; the slack covers slices whose growth steps depend on the
+// digits of a longer run, and, in race builds, the objects sync.Pool
+// drops at random.
+const (
+	holdAllocSlack = 32
+	holdByteSlack  = 4 << 10
+)
 
-// Compiling a hold emits one shared frame and extends the tracks in one
-// step, and Check skips hold cycles: a heat held ten times longer compiles
-// with the same allocations, up to holdAllocSlack.
+// allocated returns the average number of allocations and of bytes
+// allocated per call of f over n calls, measured the way
+// testing.AllocsPerRun counts (one warm-up call, GOMAXPROCS 1).
+func allocated(n int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// holdCostsNothing fails t when the long-hold call allocates more than the
+// short-hold call beyond the slacks.
+func holdCostsNothing(t *testing.T, what string, short, long func()) {
+	t.Helper()
+	a, ab := allocated(10, short)
+	b, bb := allocated(10, long)
+	if b > a+holdAllocSlack {
+		t.Errorf("%s: %v allocations with a 45 s hold, %v with a 450 s hold (slack %d)", what, a, b, holdAllocSlack)
+	}
+	if bb > ab+holdByteSlack {
+		t.Errorf("%s: %.0f bytes with a 45 s hold, %.0f with a 450 s hold (slack %d)", what, ab, bb, holdByteSlack)
+	}
+}
+
+// Compiling a hold emits one run and extends each track by one stay: a
+// heat held ten times longer compiles with the same allocations and bytes,
+// up to the slacks.
 func TestCompileAllocsIndependentOfHoldLength(t *testing.T) {
 	short, long := pcrSource(t, "45s"), pcrSource(t, "450s")
 	if totalCycles(pcrUnit(t, "450s")) <= totalCycles(pcrUnit(t, "45s")) {
 		t.Fatal("the longer hold adds no cycles")
 	}
-	a := testing.AllocsPerRun(10, func() { compileSource(t, short) })
-	b := testing.AllocsPerRun(10, func() { compileSource(t, long) })
-	if b > a+holdAllocSlack {
-		t.Errorf("Compile: %v allocations with a 45 s hold, %v with a 450 s hold (slack %d)", a, b, holdAllocSlack)
-	}
+	holdCostsNothing(t, "Compile", func() { compileSource(t, short) }, func() { compileSource(t, long) })
 }
 
-// Decoding rebuilds one frame per change of the droplet positions and
-// shares it across the hold: a heat held ten times longer loads with the
-// same allocations, up to holdAllocSlack.
+// Decoding builds one stay per track token and one run per change of the
+// droplet positions: a heat held ten times longer loads with the same
+// allocations and bytes, up to the slacks.
 func TestLoadAllocsIndependentOfHoldLength(t *testing.T) {
 	save := func(heat string) []byte {
 		var buf bytes.Buffer
@@ -124,22 +155,21 @@ func TestLoadAllocsIndependentOfHoldLength(t *testing.T) {
 			}
 		}
 	}
-	a := testing.AllocsPerRun(10, load(short))
-	b := testing.AllocsPerRun(10, load(long))
-	if b > a+holdAllocSlack {
-		t.Errorf("Load: %v allocations with a 45 s hold, %v with a 450 s hold (slack %d)", a, b, holdAllocSlack)
-	}
+	holdCostsNothing(t, "Load", load(short), load(long))
 }
 
-// An event makes its cycle something other than a hold even when the
-// frame repeats: a droplet output in the middle of a hold, its electrode
-// still active, is reported (BF101) at the very cycle of the output.
+// An event inside a run is interpreted at its own cycle: a droplet output
+// in the middle of a hold, its electrode still active, is reported
+// (BF101) at the very cycle of the output.
 func TestBF101EventInsideHold(t *testing.T) {
 	u := pcrUnit(t, "45s")
 	for _, bc := range u.Exec.Blocks {
 		s := bc.Seq
-		for c := 1; c < s.NumCycles; c++ {
-			if !codegen.SameFrame(s.Frames[c-1], s.Frames[c]) || slices.ContainsFunc(s.Events, func(ev codegen.Event) bool { return ev.Cycle == c }) {
+		start := 0
+		for _, r := range s.Runs {
+			c := start + 1
+			start += r.Len
+			if r.Len < 2 {
 				continue
 			}
 			for f, tr := range s.Tracks {
@@ -149,7 +179,7 @@ func TestBF101EventInsideHold(t *testing.T) {
 				i, _ := slices.BinarySearchFunc(s.Events, c, func(ev codegen.Event, c int) int { return ev.Cycle - c })
 				s.Events = slices.Insert(s.Events, i, codegen.Event{
 					Cycle: c, Kind: codegen.EvOutput, InstrID: -1, Inputs: []ir.FluidID{f},
-					Cells: []arch.Point{tr.At(c - 1)}, Port: "out1",
+					Cells: []arch.Point{cellAt(tr, c-1)}, Port: "out1",
 				})
 				for _, d := range verify.Run(u).ByCode("BF101") {
 					if d.Pos.Scope == "block "+bc.Block.Label && d.Pos.Cycle == c {
@@ -161,4 +191,16 @@ func TestBF101EventInsideHold(t *testing.T) {
 		}
 	}
 	t.Fatal("no hold cycle with a droplet on chip")
+}
+
+// cellAt returns the track's cell at cycle t, which it must cover.
+func cellAt(tr *codegen.Track, t int) arch.Point {
+	t -= tr.Start
+	for _, st := range tr.Stays {
+		if t < st.Len {
+			return st.Cell
+		}
+		t -= st.Len
+	}
+	panic("cycle outside the track")
 }

@@ -9,7 +9,7 @@ package wash
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/route"
@@ -71,8 +71,8 @@ func Plan(chip *arch.Chip, dirty []arch.Point, avoid []arch.Rect) (*Tour, error)
 			targets = append(targets, c)
 		}
 	}
-	sortPoints(targets)
-	sortPoints(skipped)
+	slices.SortFunc(targets, arch.Point.Compare)
+	slices.SortFunc(skipped, arch.Point.Compare)
 
 	tour := &Tour{Source: src.Name, Drain: drain.Name, Skipped: skipped}
 	cur := src.Cell
@@ -104,7 +104,7 @@ func Plan(chip *arch.Chip, dirty []arch.Point, avoid []arch.Rect) (*Tour, error)
 		return nil, fmt.Errorf("wash: cannot reach drain port %s: %w", drain.Name, err)
 	}
 	tour.Path = append(tour.Path, leg[1:]...)
-	sortPoints(tour.Skipped)
+	slices.SortFunc(tour.Skipped, arch.Point.Compare)
 	return tour, nil
 }
 
@@ -173,13 +173,4 @@ func Scrub(residue map[arch.Point][]string, tour *Tour) map[arch.Point][]string 
 		}
 	}
 	return out
-}
-
-func sortPoints(ps []arch.Point) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Y != ps[j].Y {
-			return ps[i].Y < ps[j].Y
-		}
-		return ps[i].X < ps[j].X
-	})
 }

@@ -12,7 +12,7 @@ package biocoder
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,12 +33,7 @@ import (
 // not participate, since they never change the compiled output.
 func (o Options) CanonicalText() string {
 	faults := append([]Point(nil), o.FaultyElectrodes...)
-	sort.Slice(faults, func(i, j int) bool {
-		if faults[i].Y != faults[j].Y {
-			return faults[i].Y < faults[j].Y
-		}
-		return faults[i].X < faults[j].X
-	})
+	slices.SortFunc(faults, Point.Compare)
 	var b strings.Builder
 	fmt.Fprintf(&b, "nolrs=%t serial=%t minslack=%t free=%t fold=%t faults=",
 		o.NoLiveRangeSplitting, o.SerialSchedules, o.MinSlackScheduling,
