@@ -1,13 +1,16 @@
 // Layer benchmarks on the smallest and the largest Table 1 assays (PCR and
 // opiate): loading a saved executable, static verification, and
 // simulation with and without telemetry. Opiate is almost all hold cycles,
-// so its numbers show what a hold costs in each layer.
+// so its numbers show what a hold costs in each layer. Verification also
+// runs on image_probe.bio, most of the benchmark's author workload.
 //
 //	go test -run '^$' -bench 'Benchmark(Load|Verify|Run)$' -benchmem .
 package biocoder_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"biocoder"
@@ -54,18 +57,36 @@ func BenchmarkLoad(b *testing.B) {
 }
 
 func BenchmarkVerify(b *testing.B) {
-	for _, la := range layerAssays() {
-		b.Run(la.name, func(b *testing.B) {
-			prog := compileLayer(b, la.a)
-			u := &verify.Unit{Graph: prog.Graph, Exec: prog.Executable, Chip: prog.Chip}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := verify.Run(u).Err(); err != nil {
-					b.Fatal(err)
-				}
+	run := func(b *testing.B, prog *biocoder.Compiled) {
+		u := &verify.Unit{Graph: prog.Graph, Exec: prog.Executable, Chip: prog.Chip}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := verify.Run(u).Err(); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
+	for _, la := range layerAssays() {
+		b.Run(la.name, func(b *testing.B) { run(b, compileLayer(b, la.a)) })
+	}
+	// Image probe synthesis as the benchmark's author workload compiles
+	// it, from its BioScript source: the largest of the author's scripts.
+	b.Run("Image", func(b *testing.B) {
+		src, err := os.ReadFile(filepath.Join("internal", "assays", "scripts", "image_probe.bio"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bs, err := biocoder.ParseScript(string(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := biocoder.Compile(bs, biocoder.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, prog)
+	})
 }
 
 // BenchmarkRun simulates the assay's first scripted scenario, plain and

@@ -165,11 +165,13 @@ func main() {
 	}
 
 	if *doVerify {
+		sp := tracer.Start("verify")
 		rep := verify.Run(&verify.Unit{
 			Graph:     prog.Graph,
 			Exec:      prog.Executable,
 			Placement: prog.Placement,
 		})
+		sp.End()
 		if s := rep.String(); s != "" {
 			fmt.Fprint(os.Stderr, s)
 		}
@@ -179,10 +181,12 @@ func main() {
 	}
 
 	if *doAnalyze {
+		sp := tracer.Start("analysis")
 		res, err := analysis.Analyze(&verify.Unit{
 			Graph: prog.Graph,
 			Exec:  prog.Executable,
 		}, analysis.Config{})
+		sp.End()
 		if err != nil {
 			fatal(err)
 		}
@@ -216,8 +220,9 @@ func main() {
 		}
 	}
 
-	// Written after the optional analyses so their spans (e.g. pinsafe's
-	// interference/assign/broadcast) land in the trace too.
+	// Written after the optional analyses so their spans (verify,
+	// analysis, and pinsafe with its interference/assign/broadcast) land
+	// in the trace too.
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, tracer); err != nil {
 			fatal(err)

@@ -34,12 +34,16 @@ import (
 
 // phaseNames are the compiler pipeline phases bftrace accounts for: the
 // direct children of the "compile" root span plus the front-end spans
-// ("parse", "lower") that precede it. Nested detail spans ("block …",
-// "edge …", "route") are deliberately excluded — their time is already
-// inside their parent phase's duration and would double-count.
-// "blocks" and "edges" are the parallel block backend's fan-out phases
-// (bfc -j), which replace schedule/place/codegen in such traces.
-var phaseNames = []string{"parse", "lower", "ssi", "topology", "schedule", "place", "codegen", "blocks", "edges", "fold", "check"}
+// ("parse", "lower") that precede it, and the static-oracle passes bfc
+// runs after it ("verify", "analysis", "pinsafe": bfc -verify -analyze
+// -pins). Nested detail spans ("block …", "edge …", "route", pinsafe's
+// "interference"/"assign"/"broadcast") are deliberately excluded — their
+// time is already inside their parent phase's duration and would
+// double-count. "blocks" and "edges" are the parallel block backend's
+// fan-out phases (bfc -j), which replace schedule/place/codegen in such
+// traces.
+var phaseNames = []string{"parse", "lower", "ssi", "topology", "schedule", "place", "codegen", "blocks", "edges", "fold", "check",
+	"verify", "analysis", "pinsafe"}
 
 // baseline is the committed phase-share snapshot CI diffs against.
 type baseline struct {

@@ -53,6 +53,42 @@ func TestRunBreakdown(t *testing.T) {
 	}
 }
 
+// The static-oracle passes bfc runs after compiling are phases of their
+// own; pinsafe's nested passes are not.
+func TestOraclePhases(t *testing.T) {
+	events := []obs.TraceEvent{
+		{Name: "compile", Ph: "X", Ts: 0, Dur: 40, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "codegen", Ph: "X", Ts: 0, Dur: 40, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "verify", Ph: "X", Ts: 40, Dur: 20, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "analysis", Ph: "X", Ts: 60, Dur: 10, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "pinsafe", Ph: "X", Ts: 70, Dur: 30, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "interference", Ph: "X", Ts: 70, Dur: 25, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteChromeTrace(f, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	for _, want := range []string{"codegen", "40.0%", "verify", "20.0%", "analysis", "10.0%", "pinsafe", "30.0%"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("breakdown missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "interference") {
+		t.Errorf("nested interference span must not appear as a phase:\n%s", out.String())
+	}
+}
+
 func TestBaselineRoundTrip(t *testing.T) {
 	trace := writeTestTrace(t)
 	base := filepath.Join(t.TempDir(), "baseline.json")

@@ -178,8 +178,13 @@ func FuzzVerifyExecutable(f *testing.F) {
 			f.Add(corruptLine(f, buf.String(), "track ", func(l string) string { return l + " 0,0x100000" }))
 		}
 	}
-	_, stretched := stretchedPCR(f)
+	orig, stretched := stretchedPCR(f)
 	f.Add(stretched)
+	// Inputs Load must refuse: non-finite volumes, which BF109's old
+	// volume <= 0 test passed, and a chip of more than
+	// arch.MaxElectrodes electrodes.
+	f.Add(bytes.ReplaceAll(orig, []byte("volume=10"), []byte("volume=NaN")))
+	f.Add(resizedChip(f, orig, 4000))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, err := biocoder.Load(bytes.NewReader(data))
 		if err != nil {
@@ -288,6 +293,56 @@ func TestLoadBoundedByFile(t *testing.T) {
 	a, b := loadBytes(t, orig), loadBytes(t, stretched)
 	if b > a+loadByteSlack {
 		t.Errorf("Load allocates %.0f bytes for PCR and %.0f declaring %d cycles (slack %d)", a, b, stretchedCycles, loadByteSlack)
+	}
+}
+
+// resizedChip returns a saved executable with its chip declared side x side
+// electrodes and its east ports moved to the new east edge, so that the
+// chip is valid in all but its size.
+func resizedChip(tb testing.TB, exe []byte, side int) []byte {
+	tb.Helper()
+	lines := strings.Split(string(exe), "\n")
+	resized := false
+	for i, l := range lines {
+		f := strings.Fields(l)
+		switch {
+		case len(f) == 3 && f[0] == "chip":
+			lines[i] = fmt.Sprintf("chip %d %d", side, side)
+			resized = true
+		case len(f) >= 5 && (f[0] == "input" || f[0] == "output") && f[2] == "east":
+			f[3] = strconv.Itoa(side - 1)
+			lines[i] = strings.Join(f, " ")
+		}
+	}
+	if !resized {
+		tb.Fatal("no chip line")
+	}
+	return []byte(strings.Join(lines, "\n"))
+}
+
+// A chip of more than arch.MaxElectrodes electrodes is refused before
+// anything is sized by it. PCR's saved executable declared on a 257x257,
+// 1000x1000 or 4000x4000 chip fails to load, allocating less than loading
+// PCR itself; before the bound the last two allocated 69 and 267 MB of
+// topology slots. At 256x256 it still loads.
+func TestLoadRefusesOversizedChip(t *testing.T) {
+	orig, _ := stretchedPCR(t)
+	if _, err := biocoder.Load(bytes.NewReader(resizedChip(t, orig, 256))); err != nil {
+		t.Fatalf("PCR on a 256x256 chip: %v", err)
+	}
+	full := loadBytes(t, orig)
+	for _, side := range []int{257, 1000, 4000} {
+		data := resizedChip(t, orig, side)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := biocoder.Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("PCR on a %dx%d chip loads", side, side)
+		}
+		if got := float64(after.TotalAlloc - before.TotalAlloc); got > full {
+			t.Errorf("refusing a %dx%d chip allocates %.0f bytes, loading PCR %.0f", side, side, got, full)
+		}
 	}
 }
 

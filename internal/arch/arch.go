@@ -278,11 +278,30 @@ func (c *Chip) Duration(cycles int) time.Duration {
 	return time.Duration(cycles) * c.CyclePeriod
 }
 
-// Validate checks structural sanity: positive dimensions, devices on-chip,
-// ports on their declared perimeter side, and unique resource names.
+// MaxElectrodes bounds the array a chip may declare: 65,536 electrodes, a
+// 256x256 array. The paper's chip has 285 and Large 1,089. Structures sized
+// by the array (topology slots, the motion kernel's cell grid) stay small
+// under it, whatever a configuration file or a saved executable declares.
+const MaxElectrodes = 1 << 16
+
+// CheckArea reports an array of more than MaxElectrodes electrodes. It
+// multiplies nothing, so no declared size overflows it.
+func (c *Chip) CheckArea() error {
+	if c.Cols > 0 && c.Rows > 0 && c.Cols > MaxElectrodes/c.Rows {
+		return fmt.Errorf("arch: chip %dx%d has more than %d electrodes", c.Cols, c.Rows, MaxElectrodes)
+	}
+	return nil
+}
+
+// Validate checks structural sanity: positive dimensions, at most
+// MaxElectrodes electrodes, devices on-chip, ports on their declared
+// perimeter side, and unique resource names.
 func (c *Chip) Validate() error {
 	if c.Cols <= 0 || c.Rows <= 0 {
 		return fmt.Errorf("arch: chip dimensions %dx%d must be positive", c.Cols, c.Rows)
+	}
+	if err := c.CheckArea(); err != nil {
+		return err
 	}
 	if c.CyclePeriod <= 0 {
 		return fmt.Errorf("arch: cycle period %v must be positive", c.CyclePeriod)

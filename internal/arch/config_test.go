@@ -65,10 +65,24 @@ func TestParseConfigErrors(t *testing.T) {
 		{"short sensor", "chip 9 9\ncycle 1ms\nsensor s 1 1"},
 		{"invalid chip", "chip 0 0\ncycle 1ms"},
 		{"device off chip", "chip 4 4\ncycle 1ms\nsensor s 9 9 1 1"},
+		{"one electrode too many", "chip 257 256\ncycle 1ms"},
+		{"huge chip", "chip 4000 4000\ncycle 1ms\noutput o east 3999 2"},
+		// 2^62 x 4 electrodes wrap to 0 in a 64-bit product.
+		{"overflowing area", "chip 4611686018427387904 4\ncycle 1ms"},
 	}
 	for _, c := range cases {
 		if _, err := ParseConfig(strings.NewReader(c.cfg)); err == nil {
 			t.Errorf("%s: ParseConfig accepted bad config", c.name)
+		}
+	}
+}
+
+// The largest chip Validate accepts has MaxElectrodes electrodes, in any
+// shape.
+func TestParseConfigAcceptsMaxArea(t *testing.T) {
+	for _, cfg := range []string{"chip 256 256\ncycle 1ms", "chip 65536 1\ncycle 1ms", "chip 1 65536\ncycle 1ms"} {
+		if _, err := ParseConfig(strings.NewReader(cfg)); err != nil {
+			t.Errorf("%q: %v", cfg, err)
 		}
 	}
 }

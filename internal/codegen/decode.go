@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -296,7 +297,7 @@ func decodeInstr(fields []string, blocks map[int]*cfg.Block) error {
 		case "fluidtype":
 			in.FluidType = val
 		case "volume":
-			if in.Volume, err = strconv.ParseFloat(val, 64); err != nil {
+			if in.Volume, err = decVolume(val); err != nil {
 				return err
 			}
 		case "duration":
@@ -504,7 +505,7 @@ func decodeEvent(fields []string) (Event, error) {
 		case "fluidtype":
 			ev.Fluid = val
 		case "volume":
-			if ev.Volume, err = strconv.ParseFloat(val, 64); err != nil {
+			if ev.Volume, err = decVolume(val); err != nil {
 				return ev, err
 			}
 		case "sensorvar":
@@ -634,4 +635,14 @@ func splitQuoted(line string) ([]string, error) {
 		out = append(out, field.String())
 	}
 	return out, nil
+}
+
+// decVolume parses a volume. strconv accepts NaN and Inf, which no droplet
+// has and which no comparison against zero catches downstream.
+func decVolume(val string) (float64, error) {
+	v, err := strconv.ParseFloat(val, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("volume %q is not a finite number", val)
+	}
+	return v, err
 }

@@ -184,6 +184,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"short edge line", func(s string) string {
 			return replaceLine(t, s, func(f []string) bool { return f[0] == "edge" }, func([]string) string { return "edge 0" })
 		}},
+		// strconv reads NaN and Inf, and BF109's old volume <= 0 test
+		// passed NaN.
+		{"NaN dispense volume", func(s string) string {
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "instr" && strings.Contains(f[len(f)-1], "volume=") },
+				func(f []string) string { return strings.Join(f[:len(f)-1], " ") + " volume=NaN" })
+		}},
+		{"infinite event volume", func(s string) string {
+			return replaceLine(t, s, func(f []string) bool { return f[0] == "event" && strings.Contains(f[len(f)-1], "volume=") },
+				func(f []string) string { return strings.Join(f[:len(f)-1], " ") + " volume=+Inf" })
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

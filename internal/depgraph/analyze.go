@@ -208,15 +208,15 @@ func checkFootprints(u *verify.Unit, res *Result, report func(string, verify.Pos
 			continue
 		}
 		replayed := map[arch.Point]bool{}
-		for _, p := range rep.Start {
-			replayed[p] = true
+		for _, d := range rep.Start {
+			replayed[d.At] = true
 		}
 		for _, mv := range rep.Moves {
 			replayed[mv.From] = true
 			replayed[mv.To] = true
 		}
-		for _, p := range rep.End {
-			replayed[p] = true
+		for _, d := range rep.End {
+			replayed[d.At] = true
 		}
 		if bc.Seq != nil {
 			for _, ev := range bc.Seq.Events {

@@ -1,32 +1,72 @@
 package pinsafe
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"biocoder/internal/arch"
-	"biocoder/internal/codegen"
-	"biocoder/internal/ir"
+	"biocoder/internal/motion"
 	"biocoder/internal/verify"
 )
 
 // The broadcast replay verifier. Verify rewrites every activation frame of
 // every sequence to its closure under a pin map — all cells wired to any
-// pin the frame drives — and re-interprets the sequence under the verify
-// package's motion rule, diffing each droplet's position against the
-// baseline trajectory after every cycle. The first divergence of a
-// sequence is reported (BF502) and the sequence abandoned: everything
-// after a diverted droplet is fiction. Closure cells that fall on
-// defective electrodes are reported (BF503) and dropped — a defective
-// electrode cannot actuate — and closure cells outside the array are
-// ignored: the map names an electrode the chip does not have.
+// pin the frame drives — and re-interprets the sequence on the motion
+// kernel, next to a second kernel replaying the baseline frames, diffing
+// each droplet's position against the baseline trajectory after every
+// step. The first divergence of a sequence is reported (BF502) and the
+// sequence abandoned: everything after a diverted droplet is fiction.
+// Closure cells that fall on defective electrodes are reported (BF503) and
+// dropped — a defective electrode cannot actuate — and closure cells
+// outside the array are ignored: the map names an electrode the chip does
+// not have.
 
 type bcastVerifier struct {
-	a      *Analysis
-	pins   map[arch.Point]int
-	groups map[int][]arch.Point
+	a *Analysis
+	// pins lists the map's pins in ascending order, groups[n] the
+	// on-chip cells of pins[n] in row-major order, and pinOf[i] the n of
+	// cell i's pin (-1: a dedicated pin).
+	pinOf  []int
+	pins   []int
+	groups [][]arch.Point
+	// base replays the baseline frames, bcast their closures.
+	base, bcast *motion.Kernel
+	// faulty holds the defective cells already reported in this sequence.
+	faulty *motion.Grid
+	driven []int
 	diags  []verify.Diag
+}
+
+func newBcastVerifier(a *Analysis, m *PinMap) *bcastVerifier {
+	v := &bcastVerifier{
+		a:      a,
+		pinOf:  make([]int, a.cells.Cells()),
+		base:   motion.New(a.chip),
+		bcast:  motion.New(a.chip),
+		faulty: motion.NewGrid(a.chip.Cols, a.chip.Rows),
+	}
+	type wire struct{ pin, cell int }
+	var wires []wire
+	for c, pin := range m.Pins {
+		if a.cells.In(c) {
+			wires = append(wires, wire{pin, a.cells.Index(c)})
+		}
+	}
+	slices.SortFunc(wires, func(x, y wire) int { return cmp.Or(cmp.Compare(x.pin, y.pin), cmp.Compare(x.cell, y.cell)) })
+	for i := range v.pinOf {
+		v.pinOf[i] = -1
+	}
+	for i, w := range wires {
+		if i == 0 || w.pin != wires[i-1].pin {
+			v.pins = append(v.pins, w.pin)
+			v.groups = append(v.groups, nil)
+		}
+		n := len(v.pins) - 1
+		v.pinOf[w.cell] = n
+		v.groups[n] = append(v.groups[n], a.cells.Point(w.cell))
+	}
+	return v
 }
 
 func (v *bcastVerifier) errorf(code string, pos verify.Pos, format string, args ...any) {
@@ -42,11 +82,12 @@ func (v *bcastVerifier) errorf(code string, pos verify.Pos, format string, args 
 // defective-electrode actuations (BF503). An empty diagnostic list means
 // the map preserves the executable's fluidic semantics.
 func (a *Analysis) Verify(m *PinMap) []verify.Diag {
-	v := &bcastVerifier{a: a, pins: m.Pins, groups: m.groups()}
+	v := newBcastVerifier(a, m)
 	for _, c := range a.Conflicts() {
-		pa, oka := m.Pins[c.A]
-		pb, okb := m.Pins[c.B]
-		if !oka || !okb || pa != pb {
+		// Both endpoints are on the chip: a driven electrode passed
+		// baseline replay, and passengers are in bounds.
+		pa, pb := v.pinOf[a.cells.Index(c.A)], v.pinOf[a.cells.Index(c.B)]
+		if pa < 0 || pa != pb {
 			continue
 		}
 		effect := fmt.Sprintf("tear droplet %s between active electrodes", c.Fluid)
@@ -56,7 +97,7 @@ func (a *Analysis) Verify(m *PinMap) []verify.Diag {
 		v.errorf("BF501",
 			verify.Pos{Scope: c.Scope, InstrID: -1, Cycle: c.Cycle, Cell: c.Passenger, HasCell: true},
 			"electrodes %v and %v share pin %d but interfere: co-driving %v while %v actuates would %s",
-			c.A, c.B, pa, c.Passenger, c.Driven, effect)
+			c.A, c.B, v.pins[pa], c.Passenger, c.Driven, effect)
 	}
 	for _, si := range a.seqs {
 		v.sequence(si)
@@ -65,20 +106,15 @@ func (a *Analysis) Verify(m *PinMap) []verify.Diag {
 }
 
 // sequence broadcast-replays one activation sequence against its baseline.
-// Frames never change the droplet population, so the canonical droplet
-// order is rebuilt only after events.
+// The sequence passed baseline replay, so its events apply and its frames
+// are interpretable: only the closure can go wrong.
 func (v *bcastVerifier) sequence(si seqInfo) {
 	s := si.seq
-	base := maps.Clone(si.rep.Start)
-	bpos := maps.Clone(si.rep.Start)
-	order := sortedFluids(bpos)
-	moves := si.rep.Moves
-	mi, evIdx := 0, 0
-	seenFaulty := map[arch.Point]bool{}
-	// Per-step scratch: the frame's broadcast closure and the distinct
-	// pins it drives, ascending.
-	active := map[arch.Point]bool{}
-	var driven []int
+	base, bc := v.base, v.bcast
+	base.Load(si.rep.Start)
+	bc.Load(si.rep.Start)
+	v.faulty.Clear()
+	evIdx := 0
 	t := 0
 	for _, run := range s.Runs {
 		frame := run.Frame
@@ -88,80 +124,57 @@ func (v *bcastVerifier) sequence(si seqInfo) {
 		// droplet last held under, on its baseline cell, so every
 		// droplet holds again.
 		for end := t + run.Len; t < end; {
-			fired := false
 			for evIdx < len(s.Events) && s.Events[evIdx].Cycle <= t {
-				applyEvent(s.Events[evIdx], base)
-				applyEvent(s.Events[evIdx], bpos)
+				base.Event(s.Events[evIdx])
+				bc.Event(s.Events[evIdx])
 				evIdx++
-				fired = true
 			}
-			if fired {
-				order = sortedFluids(bpos)
-			}
-			clear(active)
+			base.Frame(frame)
+			bc.Actuate(frame)
+			v.driven = v.driven[:0]
 			for _, c := range frame {
-				active[c] = true
-			}
-			driven = driven[:0]
-			for _, c := range frame {
-				if pin, ok := v.pins[c]; ok {
-					driven = append(driven, pin)
+				if n := v.pinOf[v.a.cells.Index(c)]; n >= 0 {
+					v.driven = append(v.driven, n)
 				}
 			}
-			slices.Sort(driven)
-			driven = slices.Compact(driven)
-			for _, pin := range driven {
-				for _, c := range v.groups[pin] {
-					if active[c] || !v.a.chip.InBounds(c) {
+			slices.Sort(v.driven)
+			for i, n := range v.driven {
+				if i > 0 && n == v.driven[i-1] {
+					continue
+				}
+				for _, c := range v.groups[n] {
+					if bc.Active(c) {
 						continue
 					}
 					if v.a.topo != nil && v.a.topo.Faulty(c) {
-						if !seenFaulty[c] {
-							seenFaulty[c] = true
+						if v.faulty.Add(c) {
 							v.errorf("BF503",
 								verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: c, HasCell: true},
-								"broadcast closure of pin %d actuates defective electrode %v", pin, c)
+								"broadcast closure of pin %d actuates defective electrode %v", v.pins[n], c)
 						}
 						continue
 					}
-					active[c] = true
+					bc.Activate(c)
 				}
 			}
-			for ; mi < len(moves) && moves[mi].Cycle == t; mi++ {
-				base[moves[mi].Fluid] = moves[mi].To
+			switch out := bc.Step(); out.Fault {
+			case motion.Stranded:
+				d := bc.Drops[out.Drop]
+				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: d.At, HasCell: true},
+					"droplet %s at %v stranded under broadcast actuation: no active electrode in reach", d.ID, d.At)
+				return
+			case motion.Torn:
+				d := bc.Drops[out.Drop]
+				v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: d.At, HasCell: true},
+					"droplet %s at %v torn between %d active electrodes under broadcast actuation", d.ID, d.At, out.N)
+				return
 			}
-			for _, f := range order {
-				p := bpos[f]
-				if active[p] {
-					continue // hold
-				}
-				var next arch.Point
-				n := 0
-				for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-					if q := p.Add(d[0], d[1]); active[q] {
-						next = q
-						n++
-					}
-				}
-				switch n {
-				case 1:
-					bpos[f] = next
-				case 0:
-					v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-						"droplet %s at %v stranded under broadcast actuation: no active electrode in reach", f, p)
-					return
-				default:
-					v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-						"droplet %s at %v torn between %d active electrodes under broadcast actuation", f, p, n)
-					return
-				}
-			}
-			// base and bpos hold the same droplets: events apply to
-			// both, and baseline moves name only droplets on the chip.
-			for _, f := range order {
-				if bpos[f] != base[f] {
-					v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: bpos[f], HasCell: true},
-						"broadcast actuation diverts droplet %s to %v; the program expects %v", f, bpos[f], base[f])
+			// Both kernels hold the same droplets in the same order:
+			// events apply to both.
+			for i, d := range bc.Drops {
+				if want := base.Drops[i].At; d.At != want {
+					v.errorf("BF502", verify.Pos{Scope: si.scope, InstrID: -1, Cycle: t, Cell: d.At, HasCell: true},
+						"broadcast actuation diverts droplet %s to %v; the program expects %v", d.ID, d.At, want)
 					return
 				}
 			}
@@ -171,39 +184,4 @@ func (v *bcastVerifier) sequence(si seqInfo) {
 			}
 		}
 	}
-}
-
-// applyEvent applies one structural event to a droplet population. The
-// sequence passed baseline replay, so arities and droplet identities are
-// already known to be sound — no checking here.
-func applyEvent(ev codegen.Event, pos map[ir.FluidID]arch.Point) {
-	switch ev.Kind {
-	case codegen.EvDispense:
-		pos[ev.Results[0]] = ev.Cells[0]
-	case codegen.EvOutput:
-		delete(pos, ev.Inputs[0])
-	case codegen.EvSplit:
-		delete(pos, ev.Inputs[0])
-		for i, r := range ev.Results {
-			pos[r] = ev.Cells[i]
-		}
-	case codegen.EvMerge:
-		for _, in := range ev.Inputs {
-			delete(pos, in)
-		}
-		pos[ev.Results[0]] = ev.Cells[0]
-	case codegen.EvRename:
-		p := pos[ev.Inputs[0]]
-		delete(pos, ev.Inputs[0])
-		pos[ev.Results[0]] = p
-	}
-}
-
-func sortedFluids(m map[ir.FluidID]arch.Point) []ir.FluidID {
-	fs := make([]ir.FluidID, 0, len(m))
-	for f := range m {
-		fs = append(fs, f)
-	}
-	ir.SortFluids(fs)
-	return fs
 }

@@ -36,15 +36,6 @@ func (m *PinMap) Cells() []arch.Point {
 	return cells
 }
 
-// groups indexes the map by pin: every cell a pin drives, row-major.
-func (m *PinMap) groups() map[int][]arch.Point {
-	g := map[int][]arch.Point{}
-	for _, c := range m.Cells() {
-		g[m.Pins[c]] = append(g[m.Pins[c]], c)
-	}
-	return g
-}
-
 // ParsePinMap reads the textual pin-map format: one "X Y PIN" triple per
 // line, '#' starting a comment, blank lines ignored.
 func ParsePinMap(r io.Reader) (*PinMap, error) {
@@ -91,45 +82,57 @@ func (m *PinMap) Write(w io.Writer) error {
 // is the minimum-safe-pin-count heuristic; electrodes the assay never
 // actuates are left unmapped (grounded, no pin needed).
 func (a *Analysis) Assign() *PinMap {
-	adj := map[arch.Point][]arch.Point{}
-	for k := range a.conflicts {
-		p, q := k[0], k[1]
-		if !a.usedSet[p] || !a.usedSet[q] {
+	// Vertices are the used electrodes, numbered in row-major order;
+	// vertex[i] is the number of cell i plus one, 0 for an unused cell.
+	vertex := make([]int, a.cells.Cells())
+	for v, c := range a.used {
+		vertex[a.cells.Index(c)] = v + 1
+	}
+	adj := make([][]int, len(a.used))
+	for _, c := range a.conflicts {
+		p, q := vertex[a.cells.Index(c.A)]-1, vertex[a.cells.Index(c.B)]-1
+		if p < 0 || q < 0 {
 			continue // unmapped passengers stay on dedicated (virtual) pins
 		}
 		adj[p] = append(adj[p], q)
 		adj[q] = append(adj[q], p)
 	}
-	color := make(map[arch.Point]int, len(a.used))
-	satur := map[arch.Point]map[int]bool{}
-	for len(color) < len(a.used) {
-		var pick arch.Point
-		found := false
-		for _, c := range a.used { // row-major scan makes ties deterministic
-			if _, done := color[c]; done {
+	color := make([]int, len(a.used))
+	for v := range color {
+		color[v] = -1
+	}
+	// seen[v][pin] marks a pin among v's colored neighbors; satur[v]
+	// counts them.
+	seen := make([][]bool, len(a.used))
+	satur := make([]int, len(a.used))
+	for range a.used {
+		pick := -1
+		for v := range a.used { // row-major scan makes ties deterministic
+			if color[v] >= 0 {
 				continue
 			}
-			if !found {
-				pick = c
-				found = true
-				continue
-			}
-			sc, sp := len(satur[c]), len(satur[pick])
-			if sc > sp || (sc == sp && len(adj[c]) > len(adj[pick])) {
-				pick = c
+			if pick < 0 || satur[v] > satur[pick] || (satur[v] == satur[pick] && len(adj[v]) > len(adj[pick])) {
+				pick = v
 			}
 		}
 		pin := 0
-		for satur[pick][pin] {
+		for pin < len(seen[pick]) && seen[pick][pin] {
 			pin++
 		}
 		color[pick] = pin
 		for _, n := range adj[pick] {
-			if satur[n] == nil {
-				satur[n] = map[int]bool{}
+			if pin >= len(seen[n]) {
+				seen[n] = append(seen[n], make([]bool, pin+1-len(seen[n]))...)
 			}
-			satur[n][pin] = true
+			if !seen[n][pin] {
+				seen[n][pin] = true
+				satur[n]++
+			}
 		}
 	}
-	return &PinMap{Pins: color}
+	pins := make(map[arch.Point]int, len(a.used))
+	for v, c := range a.used {
+		pins[c] = color[v]
+	}
+	return &PinMap{Pins: pins}
 }

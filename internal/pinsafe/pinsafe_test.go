@@ -209,6 +209,16 @@ func TestAnalyzeRejectsBrokenBaseline(t *testing.T) {
 	}
 }
 
+// A hand-built unit may name a chip no validated chip can be; the analysis
+// refuses it rather than size its grids by it.
+func TestAnalyzeRejectsOversizedChip(t *testing.T) {
+	chip := *arch.Small()
+	chip.Cols, chip.Rows = 300, 300
+	if _, err := pinsafe.Analyze(&verify.Unit{Exec: routeExec(t), Chip: &chip}, pinsafe.Config{}); err == nil {
+		t.Fatal("a 300x300 chip accepted")
+	}
+}
+
 func TestAnalyzeHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -428,6 +428,42 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// A chip of more than arch.MaxElectrodes electrodes is a client error on
+// both routes that read one: a compile request's chip, and the [chip]
+// section of a posted executable (its east ports moved to the new edge,
+// so only the size is wrong).
+func TestOversizedChipRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req, _ := json.Marshal(map[string]any{"assay": testAssay, "chip": "chip 4000 4000\ncycle 10ms\noutput o east 3999 2\n"})
+	if resp, body := postJSON(t, ts.URL+"/v1/compile", string(req)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("compile on a 4000x4000 chip: %d %s, want 400", resp.StatusCode, body)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/compile", compileBody(testAssay))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %s", resp.StatusCode, body)
+	}
+	var cr CompileResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(cr.Executable, "\n")
+	for i, l := range lines {
+		f := strings.Fields(l)
+		switch {
+		case len(f) == 3 && f[0] == "chip":
+			lines[i] = "chip 4000 4000"
+		case len(f) >= 5 && f[2] == "east":
+			f[3] = "3999"
+			lines[i] = strings.Join(f, " ")
+		}
+	}
+	sim, _ := json.Marshal(map[string]any{"executable": strings.Join(lines, "\n")})
+	if resp, body := postJSON(t, ts.URL+"/v1/simulate", string(sim)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("simulate on a 4000x4000 chip: %d %s, want 400", resp.StatusCode, body)
+	}
+}
+
 func TestSimulateBadScenario(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/simulate",

@@ -7,6 +7,8 @@
 package verify_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,6 +194,21 @@ func TestBF103DefectiveElectrode(t *testing.T) {
 	wantCode(t, execReport(t, ex), "BF103")
 }
 
+// A hand-built unit may name a chip no validated chip can be; the replay
+// refuses it (BF103) rather than size its grid by it.
+func TestBF103OversizedChip(t *testing.T) {
+	ex, _ := handExec(t)
+	chip := *arch.Small()
+	chip.Cols, chip.Rows = 300, 300
+	rep := verify.Run(&verify.Unit{Exec: ex, Chip: &chip})
+	for _, d := range rep.ByCode("BF103") {
+		if strings.Contains(d.Msg, "more than 65536 electrodes") {
+			return
+		}
+	}
+	t.Errorf("want a BF103 for the 300x300 array, got:\n%s", rep)
+}
+
 func TestBF104WrongPort(t *testing.T) {
 	ex, bc := handExec(t)
 	bc.Seq.Events[0].Port = "out1" // dispense from an output port
@@ -284,6 +301,16 @@ func TestBF109MalformedEvent(t *testing.T) {
 		}
 	}
 	wantCode(t, execReport(t, ex), "BF109")
+}
+
+// A dispense of NaN or infinite volume is malformed. Decode refuses such
+// volumes, but hand-built executables reach verify without it.
+func TestBF109NonFiniteVolume(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		ex, bc := handExec(t)
+		bc.Seq.Events[0].Volume = v
+		wantCode(t, execReport(t, ex), "BF109")
+	}
 }
 
 func TestBF110BrokenExitContract(t *testing.T) {

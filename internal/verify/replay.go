@@ -6,9 +6,11 @@ package verify
 // activated electrodes (a droplet holds if its own electrode stays active,
 // otherwise it follows the unique active electrode among its four
 // neighbors), and applying the structural droplet events between frames.
-// This mirrors exec.machine exactly — but runs over every block and every
-// edge, including paths a particular simulation never takes, and emits
-// coded diagnostics instead of stopping at the first inconsistency.
+// The rule runs on the motion kernel (internal/motion), which keeps the
+// droplets in canonical order and the active electrodes on a grid. It is
+// the rule exec.machine applies — but the replay runs over every block and
+// every edge, including paths a particular simulation never takes, and
+// emits coded diagnostics instead of stopping at the first inconsistency.
 //
 // The generator's Tracks are deliberately ignored: they are the compiler's
 // own claim about where droplets go, while the frames are what the chip
@@ -18,21 +20,21 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
 	"biocoder/internal/codegen"
 	"biocoder/internal/ir"
+	"biocoder/internal/motion"
 )
 
 // replayResult caches one full symbolic replay of the unit's executable:
-// all BF1xx diagnostics, and the reconstructed final droplet positions per
-// block and per edge (nil where replay had to abort).
+// all BF1xx diagnostics, plus what ReplayTouches and ReplayMoves ask to
+// record.
 type replayResult struct {
-	diags    []Diag
-	blockEnd map[int]map[ir.FluidID]arch.Point
-	edgeEnd  map[[2]int]map[ir.FluidID]arch.Point
+	diags []Diag
 	// Touch histories, populated only when the replayer records (see
 	// ReplayTouches).
 	blockTouch map[int][]Touch
@@ -47,14 +49,8 @@ func (c *context) replayExec() *replayResult {
 		return c.replay
 	}
 	c.replayOnce = true
-	r := &replayer{
-		unit:    c.unit,
-		instrs:  indexInstrs(c.unit.Graph),
-		res:     &replayResult{blockEnd: map[int]map[ir.FluidID]arch.Point{}, edgeEnd: map[[2]int]map[ir.FluidID]arch.Point{}},
-		heaters: c.unit.Chip.DevicesOf(arch.Heater),
-	}
-	r.run()
-	c.replay = r.res
+	c.replay = &replayResult{}
+	newReplayer(c.unit, c.replay).run()
 	return c.replay
 }
 
@@ -78,11 +74,18 @@ func (c *context) copyFiltered() {
 	}
 }
 
+// replayer interprets sequences on one motion kernel: the kernel holds the
+// droplet population of the sequence being replayed.
 type replayer struct {
 	unit    *Unit
 	instrs  map[int]*ir.Instr
 	res     *replayResult
 	heaters []arch.Device
+	k       *motion.Kernel
+	// mates lists the droplet pairs of the current sequence that merge,
+	// seen the adjacent pairs it already reported; each pair is in
+	// canonical order.
+	mates, seen [][2]ir.FluidID
 	// record turns on electrode-touch capture; cur collects the touches of
 	// the sequence currently being replayed.
 	record bool
@@ -91,6 +94,15 @@ type replayer struct {
 	// collects the moves of the sequence currently being replayed.
 	recMoves bool
 	curMoves []Move
+}
+
+func newReplayer(u *Unit, res *replayResult) *replayer {
+	return &replayer{
+		unit:    u,
+		instrs:  indexInstrs(u.Graph),
+		res:     res,
+		heaters: u.Chip.DevicesOf(arch.Heater),
+	}
 }
 
 func (r *replayer) touch(f ir.FluidID, c arch.Point, t int) {
@@ -129,22 +141,12 @@ type Touch struct {
 // substrate of the cross-contamination analysis in internal/analysis.
 func ReplayTouches(u *Unit) (blocks map[int][]Touch, edges map[[2]int][]Touch) {
 	u = u.normalized()
-	res := &replayResult{
-		blockEnd:   map[int]map[ir.FluidID]arch.Point{},
-		edgeEnd:    map[[2]int]map[ir.FluidID]arch.Point{},
-		blockTouch: map[int][]Touch{},
-		edgeTouch:  map[[2]int][]Touch{},
-	}
+	res := &replayResult{blockTouch: map[int][]Touch{}, edgeTouch: map[[2]int][]Touch{}}
 	if u.Exec == nil || u.Chip == nil {
 		return res.blockTouch, res.edgeTouch
 	}
-	r := &replayer{
-		unit:    u,
-		instrs:  indexInstrs(u.Graph),
-		res:     res,
-		heaters: u.Chip.DevicesOf(arch.Heater),
-		record:  true,
-	}
+	r := newReplayer(u, res)
+	r.record = true
 	r.run()
 	return res.blockTouch, res.edgeTouch
 }
@@ -165,15 +167,16 @@ type Move struct {
 // predecessor's exit filtered through the edge copies) and every
 // frame-driven move, in cycle order. OK reports that the replay ran to
 // completion; an aborted sequence carries the moves up to the abort point.
+// Start and End list droplets in canonical order.
 type SeqReplay struct {
-	Start map[ir.FluidID]arch.Point
+	Start []motion.Droplet
 	Moves []Move
 	OK    bool
 	// End holds the reconstructed final droplet positions; nil when the
 	// replay aborted. This is the replayed counterpart of the block's
 	// declared Exit contract, used by the depgraph effect-summary
 	// reconciliation (BF602).
-	End map[ir.FluidID]arch.Point
+	End []motion.Droplet
 }
 
 // ReplayMoves re-runs the symbolic replay over the unit's executable and
@@ -184,32 +187,35 @@ type SeqReplay struct {
 // the substrate of the electrode-interference analysis in internal/pinsafe.
 func ReplayMoves(u *Unit) (blocks map[int]*SeqReplay, edges map[[2]int]*SeqReplay) {
 	u = u.normalized()
-	res := &replayResult{
-		blockEnd:   map[int]map[ir.FluidID]arch.Point{},
-		edgeEnd:    map[[2]int]map[ir.FluidID]arch.Point{},
-		blockMoves: map[int]*SeqReplay{},
-		edgeMoves:  map[[2]int]*SeqReplay{},
-	}
+	res := &replayResult{blockMoves: map[int]*SeqReplay{}, edgeMoves: map[[2]int]*SeqReplay{}}
 	if u.Exec == nil || u.Chip == nil {
 		return res.blockMoves, res.edgeMoves
 	}
-	r := &replayer{
-		unit:     u,
-		instrs:   indexInstrs(u.Graph),
-		res:      res,
-		heaters:  u.Chip.DevicesOf(arch.Heater),
-		recMoves: true,
-	}
+	r := newReplayer(u, res)
+	r.recMoves = true
 	r.run()
 	return res.blockMoves, res.edgeMoves
 }
 
-func clonePositions(m map[ir.FluidID]arch.Point) map[ir.FluidID]arch.Point {
-	out := make(map[ir.FluidID]arch.Point, len(m))
-	for f, p := range m {
-		out[f] = p
+// replay replays s from the population loaded into the kernel, with fresh
+// touch and move records, and reports whether it ran to completion. The
+// final population stays in the kernel. For ReplayMoves it returns the
+// sequence's motion account.
+func (r *replayer) replay(scope string, s *codegen.Sequence) (bool, *SeqReplay) {
+	r.cur, r.curMoves = nil, nil
+	var start []motion.Droplet
+	if r.recMoves {
+		start = slices.Clone(r.k.Drops)
 	}
-	return out
+	ok := r.replaySequence(scope, s)
+	if !r.recMoves {
+		return ok, nil
+	}
+	sr := &SeqReplay{Start: start, Moves: r.curMoves, OK: ok}
+	if ok {
+		sr.End = append([]motion.Droplet{}, r.k.Drops...)
+	}
+	return ok, sr
 }
 
 func (r *replayer) errorf(code string, pos Pos, format string, args ...any) {
@@ -226,6 +232,12 @@ func (r *replayer) run() {
 		r.errorf("BF101", NoPos, "executable has no control-flow graph")
 		return
 	}
+	if r.unit.Chip.CheckArea() != nil {
+		r.errorf("BF103", NoPos, "%dx%d array has more than %d electrodes; its actuations are not replayed",
+			r.unit.Chip.Cols, r.unit.Chip.Rows, arch.MaxElectrodes)
+		return
+	}
+	r.k = motion.New(r.unit.Chip)
 	for _, b := range g.Blocks {
 		bc := ex.Blocks[b.ID]
 		scope := "block " + b.Label
@@ -233,22 +245,26 @@ func (r *replayer) run() {
 			r.errorf("BF110", Pos{Scope: scope, InstrID: -1, Cycle: -1}, "block has no compiled code")
 			continue
 		}
-		r.cur = nil
-		r.curMoves = nil
-		end := r.replaySequence(scope, bc.Seq, bc.Entry)
-		r.res.blockEnd[b.ID] = end
+		r.k.LoadMap(bc.Entry)
+		ok, sr := r.replay(scope, bc.Seq)
 		if r.record {
 			r.res.blockTouch[b.ID] = r.cur
 		}
 		if r.recMoves {
-			sr := &SeqReplay{Start: clonePositions(bc.Entry), Moves: r.curMoves, OK: end != nil}
-			if end != nil {
-				sr.End = clonePositions(end)
-			}
 			r.res.blockMoves[b.ID] = sr
 		}
-		if end != nil {
-			r.checkBoundary(scope, "exit contract", end, bc.Exit)
+		if ok {
+			pos := Pos{Scope: scope, InstrID: -1, Cycle: -1}
+			r.diffEnd(bc.Exit,
+				func(f ir.FluidID, wp arch.Point) {
+					r.errorf("BF110", pos, "exit contract names droplet %s at %v but replay leaves no such droplet", f, wp)
+				},
+				func(f ir.FluidID, wp, gp arch.Point) {
+					r.errorf("BF110", pos, "exit contract places droplet %s at %v but replay leaves it at %v", f, wp, gp)
+				},
+				func(f ir.FluidID, gp arch.Point) {
+					r.errorf("BF110", pos, "replay leaves droplet %s at %v which the exit contract does not account for", f, gp)
+				})
 		}
 	}
 	for _, e := range g.Edges() {
@@ -256,74 +272,73 @@ func (r *replayer) run() {
 	}
 }
 
-// checkBoundary compares the replayed droplet positions against a declared
-// boundary map and reports every discrepancy as BF110.
-func (r *replayer) checkBoundary(scope, what string, got, want map[ir.FluidID]arch.Point) {
-	pos := Pos{Scope: scope, InstrID: -1, Cycle: -1}
-	for _, f := range sortedFluids(want) {
-		wp := want[f]
-		gp, ok := got[f]
+// diffEnd holds the replayed population left in the kernel against a
+// declared one: missing gets each declared droplet the replay does not
+// leave, moved each one it leaves elsewhere, then extra each replayed
+// droplet the declaration lacks, all in canonical order.
+func (r *replayer) diffEnd(decl map[ir.FluidID]arch.Point,
+	missing func(f ir.FluidID, want arch.Point),
+	moved func(f ir.FluidID, want, got arch.Point),
+	extra func(f ir.FluidID, got arch.Point)) {
+	want := sortedDroplets(decl)
+	for _, w := range want {
+		i, ok := r.k.Find(w.ID)
 		if !ok {
-			r.errorf("BF110", pos, "%s names droplet %s at %v but replay leaves no such droplet", what, f, wp)
-			continue
-		}
-		if gp != wp {
-			r.errorf("BF110", pos, "%s places droplet %s at %v but replay leaves it at %v", what, f, wp, gp)
+			missing(w.ID, w.At)
+		} else if got := r.k.Drops[i].At; got != w.At {
+			moved(w.ID, w.At, got)
 		}
 	}
-	for _, f := range sortedFluids(got) {
-		if _, ok := want[f]; !ok {
-			r.errorf("BF110", pos, "replay leaves droplet %s at %v which the %s does not account for", f, got[f], what)
+	for _, d := range r.k.Drops {
+		if _, ok := slices.BinarySearchFunc(want, d.ID, func(w motion.Droplet, f ir.FluidID) int { return w.ID.Compare(f) }); !ok {
+			extra(d.ID, d.At)
 		}
 	}
 }
 
-func sortedFluids(m map[ir.FluidID]arch.Point) []ir.FluidID {
-	fs := make([]ir.FluidID, 0, len(m))
-	for f := range m {
-		fs = append(fs, f)
+// sortedDroplets lists the droplets of m in canonical order.
+func sortedDroplets(m map[ir.FluidID]arch.Point) []motion.Droplet {
+	ds := make([]motion.Droplet, 0, len(m))
+	for f, p := range m {
+		ds = append(ds, motion.Droplet{ID: f, At: p})
 	}
-	ir.SortFluids(fs)
-	return fs
+	slices.SortFunc(ds, func(a, b motion.Droplet) int { return a.ID.Compare(b.ID) })
+	return ds
 }
 
-// replaySequence interprets one activation sequence starting from the given
-// droplet positions and returns the final positions, or nil when the replay
-// had to abort (the frames stopped being interpretable).
-func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[ir.FluidID]arch.Point) map[ir.FluidID]arch.Point {
+// replaySequence interprets one activation sequence from the population
+// loaded into the kernel and reports whether it ran to completion; false
+// means the frames stopped being interpretable and the replay aborted.
+func (r *replayer) replaySequence(scope string, s *codegen.Sequence) bool {
 	if !r.scanStatic(scope, s) {
-		return nil
+		return false
 	}
-	mates := mergeMates(s)
+	k := r.k
+	r.mates = mergeMates(s, r.mates[:0])
+	r.seen = r.seen[:0]
 	if r.record {
 		// Most runs move one droplet: size the touches for that.
-		r.cur = slices.Grow(r.cur, len(start)+len(s.Runs)+len(s.Events))
+		r.cur = slices.Grow(r.cur, len(k.Drops)+len(s.Runs)+len(s.Events))
 	}
-	pos := make(map[ir.FluidID]arch.Point, len(start))
-	for f, p := range start {
-		pos[f] = p
-		r.touch(f, p, 0)
+	if r.recMoves {
+		r.curMoves = slices.Grow(r.curMoves, len(s.Runs)+len(s.Events))
 	}
-	// order holds the droplets in canonical order. Frames move droplets but
-	// never change the population, so it is rebuilt only after events.
-	order := sortedFluids(pos)
+	for _, d := range k.Drops {
+		r.touch(d.ID, d.At, 0)
+	}
 	evIdx := 0
 	// applyEvents applies the events due by cycle t and reports whether
 	// any fired.
 	applyEvents := func(t int) (fired, ok bool) {
 		for evIdx < len(s.Events) && s.Events[evIdx].Cycle <= t {
-			if !r.applyEvent(scope, s.Events[evIdx], pos) {
+			if !r.applyEvent(scope, s.Events[evIdx]) {
 				return false, false
 			}
 			evIdx++
 			fired = true
 		}
-		if fired {
-			order = sortedFluids(pos)
-		}
 		return fired, true
 	}
-	seenAdj := map[[2]ir.FluidID]bool{}
 	t := 0
 	for _, run := range s.Runs {
 		// The frame is applied at the run's first cycle and again after
@@ -333,17 +348,17 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 		for end := t + run.Len; t < end; {
 			fired, ok := applyEvents(t)
 			if !ok {
-				return nil
+				return false
 			}
-			moved, ok := r.applyFrame(scope, run.Frame, t, pos, order)
+			moved, ok := r.applyFrame(scope, run.Frame, t)
 			if !ok {
-				return nil
+				return false
 			}
 			// Every adjacent pair of the last checked cycle is already
-			// in seenAdj, so a cycle that changed no position or
-			// population cannot add a finding.
+			// in seen, so a cycle that changed no position or population
+			// cannot add a finding.
 			if t == 0 || fired || moved {
-				r.checkAdjacency(scope, t, pos, order, mates, seenAdj)
+				r.checkAdjacency(scope, t)
 			}
 			t = end
 			if evIdx < len(s.Events) && s.Events[evIdx].Cycle < end {
@@ -351,15 +366,15 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 			}
 		}
 	}
-	if _, ok := applyEvents(s.NumCycles); !ok {
-		return nil
-	}
-	return pos
+	_, ok := applyEvents(s.NumCycles)
+	return ok
 }
 
 // scanStatic checks the sequence's shape without interpreting it: run
 // lengths against the declared cycle count, every activated electrode on
-// a working on-chip cell, and event cycles within range.
+// a working on-chip cell, and event cycles within range. An electrode or
+// an event cell off the chip stops the sequence from being replayed, so
+// the kernel's grid is only ever asked about the chip's own cells.
 func (r *replayer) scanStatic(scope string, s *codegen.Sequence) bool {
 	ok := true
 	badCell := map[arch.Point]bool{}
@@ -370,15 +385,16 @@ func (r *replayer) scanStatic(scope string, s *codegen.Sequence) bool {
 			ok = false
 		}
 		for _, cell := range run.Frame {
-			if badCell[cell] {
-				continue // checked, and reported, in an earlier run
+			onChip := r.unit.Chip.InBounds(cell)
+			if onChip && (r.unit.Topo == nil || !r.unit.Topo.Faulty(cell)) || badCell[cell] {
+				continue // fine, or reported in an earlier run
 			}
-			if !r.unit.Chip.InBounds(cell) {
-				badCell[cell] = true
+			badCell[cell] = true
+			if !onChip {
 				r.errorf("BF103", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: cell, HasCell: true},
 					"actuation of electrode %v outside the %dx%d array", cell, r.unit.Chip.Cols, r.unit.Chip.Rows)
-			} else if r.unit.Topo != nil && r.unit.Topo.Faulty(cell) {
-				badCell[cell] = true
+				ok = false
+			} else {
 				r.errorf("BF103", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: cell, HasCell: true},
 					"actuation of defective electrode %v", cell)
 			}
@@ -427,8 +443,11 @@ func (r *replayer) scanEvent(scope string, ev codegen.Event) bool {
 		if !arity(0, 1, 1) {
 			return false
 		}
-		if ev.Volume <= 0 {
-			r.errorf("BF109", pos, "dispense of %s with non-positive volume %g", ev.Results[0], ev.Volume)
+		switch v := ev.Volume; {
+		case v <= 0:
+			r.errorf("BF109", pos, "dispense of %s with non-positive volume %g", ev.Results[0], v)
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			r.errorf("BF109", pos, "dispense of %s with non-finite volume %g", ev.Results[0], v)
 		}
 		r.checkPort(pos, ev, arch.Input)
 	case codegen.EvOutput:
@@ -462,6 +481,13 @@ func (r *replayer) scanEvent(scope string, ev codegen.Event) bool {
 		r.errorf("BF109", pos, "unknown event kind %v", ev.Kind)
 		return false
 	}
+	for _, c := range ev.Cells {
+		if !r.unit.Chip.InBounds(c) {
+			r.errorf("BF109", Pos{Scope: scope, InstrID: ev.InstrID, Cycle: ev.Cycle, Cell: c, HasCell: true},
+				"%v event cell %v outside the %dx%d array", ev.Kind, c, r.unit.Chip.Cols, r.unit.Chip.Rows)
+			return false
+		}
+	}
 	return true
 }
 
@@ -486,110 +512,81 @@ func (r *replayer) checkPort(pos Pos, ev codegen.Event, kind arch.PortKind) {
 	}
 }
 
-// mergeMates returns the droplet pairs allowed to touch in this sequence:
-// inputs of the same merge event are supposed to come together.
-func mergeMates(s *codegen.Sequence) map[[2]ir.FluidID]bool {
-	mates := map[[2]ir.FluidID]bool{}
+// mergeMates appends to mates the droplet pairs allowed to touch in this
+// sequence, each in canonical order: inputs of the same merge event are
+// supposed to come together.
+func mergeMates(s *codegen.Sequence, mates [][2]ir.FluidID) [][2]ir.FluidID {
 	for _, ev := range s.Events {
 		if ev.Kind != codegen.EvMerge {
 			continue
 		}
 		for i, a := range ev.Inputs {
 			for _, b := range ev.Inputs[i+1:] {
-				mates[[2]ir.FluidID{a, b}] = true
-				mates[[2]ir.FluidID{b, a}] = true
+				mates = append(mates, pair(a, b))
 			}
 		}
 	}
 	return mates
 }
 
+// pair orders two droplets canonically.
+func pair(a, b ir.FluidID) [2]ir.FluidID {
+	if b.Compare(a) < 0 {
+		a, b = b, a
+	}
+	return [2]ir.FluidID{a, b}
+}
+
 // applyEvent applies one structural event to the replayed droplet
-// population, mirroring the runtime interpreter. Returns false when the
-// population became untrustworthy and replay of the sequence must stop.
-func (r *replayer) applyEvent(scope string, ev codegen.Event, pos map[ir.FluidID]arch.Point) bool {
+// population on the kernel, mirroring the runtime interpreter. Returns
+// false when the population became untrustworthy and replay of the
+// sequence must stop.
+func (r *replayer) applyEvent(scope string, ev codegen.Event) bool {
 	dpos := Pos{Scope: scope, InstrID: ev.InstrID, Cycle: ev.Cycle}
-	take := func(f ir.FluidID) (arch.Point, bool) {
-		p, ok := pos[f]
-		if !ok {
-			r.errorf("BF109", dpos, "%v event names droplet %s which is not on the chip", ev.Kind, f)
-			return arch.Point{}, false
+	k := r.k
+	if ev.Kind == codegen.EvSplit {
+		if i, ok := k.Find(ev.Inputs[0]); ok {
+			r.checkSplit(dpos, ev, k.Drops[i].At)
 		}
-		delete(pos, f)
-		return p, true
+	}
+	out := k.Event(ev)
+	for _, d := range k.Placed {
+		r.touch(d.ID, d.At, ev.Cycle)
+	}
+	switch out.Fault {
+	case motion.Missing:
+		if ev.Kind == codegen.EvSense {
+			r.errorf("BF109", dpos, "sensing droplet %s which is not on the chip", out.Fluid)
+		} else {
+			r.errorf("BF109", dpos, "%v event names droplet %s which is not on the chip", ev.Kind, out.Fluid)
+		}
+		return false
+	case motion.Exists:
+		what := "dispense of"
+		switch ev.Kind {
+		case codegen.EvSplit:
+			what = "split produces"
+		case codegen.EvMerge:
+			what = "merge produces"
+		case codegen.EvRename:
+			what = "rename to"
+		}
+		r.errorf("BF109", dpos, "%s droplet %s which already exists", what, out.Fluid)
+		return false
+	case motion.Misplaced:
+		r.errorf("BF109", dpos, "%v expects droplet %s at %v, replay finds it at %v", ev.Kind, out.Fluid, ev.Cells[0], out.At)
+		return false
 	}
 	switch ev.Kind {
-	case codegen.EvDispense:
-		d := ev.Results[0]
-		if _, dup := pos[d]; dup {
-			r.errorf("BF109", dpos, "dispense of droplet %s which already exists", d)
-			return false
-		}
-		pos[d] = ev.Cells[0]
-		r.touch(d, ev.Cells[0], ev.Cycle)
-	case codegen.EvOutput:
-		p, ok := take(ev.Inputs[0])
-		if !ok {
-			return false
-		}
-		if p != ev.Cells[0] {
-			r.errorf("BF109", dpos, "output expects droplet %s at %v, replay finds it at %v", ev.Inputs[0], ev.Cells[0], p)
-			return false
-		}
-	case codegen.EvSplit:
-		parent, ok := take(ev.Inputs[0])
-		if !ok {
-			return false
-		}
-		r.checkSplit(dpos, ev, parent)
-		for i, rid := range ev.Results {
-			if _, dup := pos[rid]; dup {
-				r.errorf("BF109", dpos, "split produces droplet %s which already exists", rid)
-				return false
-			}
-			pos[rid] = ev.Cells[i]
-			r.touch(rid, ev.Cells[i], ev.Cycle)
-		}
-	case codegen.EvMerge:
-		for _, in := range ev.Inputs {
-			if _, ok := take(in); !ok {
-				return false
-			}
-		}
-		if _, dup := pos[ev.Results[0]]; dup {
-			r.errorf("BF109", dpos, "merge produces droplet %s which already exists", ev.Results[0])
-			return false
-		}
-		pos[ev.Results[0]] = ev.Cells[0]
-		r.touch(ev.Results[0], ev.Cells[0], ev.Cycle)
 	case codegen.EvRename:
-		p, ok := take(ev.Inputs[0])
-		if !ok {
-			return false
-		}
-		if p != ev.Cells[0] {
-			r.errorf("BF109", dpos, "rename expects droplet %s at %v, replay finds it at %v", ev.Inputs[0], ev.Cells[0], p)
-			return false
-		}
-		if _, dup := pos[ev.Results[0]]; dup {
-			r.errorf("BF109", dpos, "rename to droplet %s which already exists", ev.Results[0])
-			return false
-		}
-		pos[ev.Results[0]] = p
-		r.touch(ev.Results[0], p, ev.Cycle)
-		r.checkHeat(dpos, ev, p)
+		r.checkHeat(dpos, ev, out.At)
 	case codegen.EvSense:
-		p, ok := pos[ev.Inputs[0]]
-		if !ok {
-			r.errorf("BF109", dpos, "sensing droplet %s which is not on the chip", ev.Inputs[0])
-			return false
-		}
 		if dev, ok := r.unit.Chip.Device(ev.Device); ok {
 			if dev.Kind != arch.Sensor {
 				r.errorf("BF105", dpos, "sense on device %q which is a %v", ev.Device, dev.Kind)
-			} else if !dev.Loc.Contains(p) {
-				r.errorf("BF105", Pos{Scope: scope, InstrID: ev.InstrID, Cycle: ev.Cycle, Cell: p, HasCell: true},
-					"sense of droplet %s at %v, off sensor %q footprint %v", ev.Inputs[0], p, ev.Device, dev.Loc)
+			} else if !dev.Loc.Contains(out.At) {
+				r.errorf("BF105", Pos{Scope: scope, InstrID: ev.InstrID, Cycle: ev.Cycle, Cell: out.At, HasCell: true},
+					"sense of droplet %s at %v, off sensor %q footprint %v", ev.Inputs[0], out.At, ev.Device, dev.Loc)
 			}
 		}
 	}
@@ -634,92 +631,56 @@ func (r *replayer) checkHeat(dpos Pos, ev codegen.Event, p arch.Point) {
 		"heat of droplet %s at %v which is not on any heater", ev.Results[0], p)
 }
 
-// applyFrame moves every replayed droplet according to the activated
-// electrodes, exactly as the runtime interpreter (and the chip) would,
-// visiting droplets in the given canonical order. It reports whether any
-// droplet moved.
-func (r *replayer) applyFrame(scope string, f codegen.Frame, t int, pos map[ir.FluidID]arch.Point, order []ir.FluidID) (moved, ok bool) {
-	// Codegen and Decode emit frames sorted row-major; any other frame
-	// is sorted here, so that an electrode is found by binary search.
-	if !slices.IsSortedFunc(f, arch.Point.Compare) {
-		f = slices.Clone(f)
-		slices.SortFunc(f, arch.Point.Compare)
-	}
-	active := func(c arch.Point) bool {
-		lo, hi := 0, len(f)
-		for lo < hi {
-			if m := (lo + hi) / 2; f[m].Y < c.Y || f[m].Y == c.Y && f[m].X < c.X {
-				lo = m + 1
-			} else {
-				hi = m
+// applyFrame applies one frame on the kernel at cycle t, records its
+// moves and reports whether any droplet moved.
+func (r *replayer) applyFrame(scope string, f codegen.Frame, t int) (moved, ok bool) {
+	k := r.k
+	out := k.Frame(f)
+	if r.record || r.recMoves {
+		for _, st := range k.Moves {
+			id := k.Drops[st.Drop].ID
+			r.touch(id, st.To, t)
+			if r.recMoves {
+				r.curMoves = append(r.curMoves, Move{Cycle: t, Fluid: id, From: st.From, To: st.To})
 			}
 		}
-		return lo < len(f) && f[lo] == c
 	}
-	electrodes := len(f)
-	for i := 1; i < len(f); i++ {
-		if f[i] == f[i-1] {
-			electrodes--
-		}
-	}
-	if electrodes != len(pos) {
+	switch out.Fault {
+	case motion.Mismatch:
 		r.errorf("BF101", Pos{Scope: scope, InstrID: -1, Cycle: t},
-			"%d electrodes active for %d droplets", electrodes, len(pos))
+			"%d electrodes active for %d droplets", out.N, len(k.Drops))
+		return false, false
+	case motion.Stranded:
+		d := k.Drops[out.Drop]
+		r.errorf("BF107", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: d.At, HasCell: true},
+			"droplet %s at %v stranded: no active electrode in reach", d.ID, d.At)
+		return false, false
+	case motion.Torn:
+		d := k.Drops[out.Drop]
+		r.errorf("BF107", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: d.At, HasCell: true},
+			"droplet %s at %v torn between %d active electrodes", d.ID, d.At, out.N)
 		return false, false
 	}
-	for _, f := range order {
-		p := pos[f]
-		if active(p) {
-			continue // hold
-		}
-		var next arch.Point
-		n := 0
-		for _, delta := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			if q := p.Add(delta[0], delta[1]); active(q) {
-				next = q
-				n++
-			}
-		}
-		switch n {
-		case 1:
-			pos[f] = next
-			moved = true
-			r.touch(f, next, t)
-			if r.recMoves {
-				r.curMoves = append(r.curMoves, Move{Cycle: t, Fluid: f, From: p, To: next})
-			}
-		case 0:
-			r.errorf("BF107", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-				"droplet %s at %v stranded: no active electrode in reach", f, p)
-			return false, false
-		default:
-			r.errorf("BF107", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: p, HasCell: true},
-				"droplet %s at %v torn between %d active electrodes", f, p, n)
-			return false, false
-		}
-	}
-	return moved, true
+	return len(k.Moves) > 0, true
 }
 
 // checkAdjacency reports every pair of distinct droplets violating the
 // static fluidic constraint at the end of a cycle, except pairs that merge
 // somewhere in this sequence. Each pair is reported once per sequence.
-// order lists the droplets of pos in canonical order.
-func (r *replayer) checkAdjacency(scope string, t int, pos map[ir.FluidID]arch.Point, order []ir.FluidID, mates, seen map[[2]ir.FluidID]bool) {
-	for i, a := range order {
-		pa := pos[a]
-		for _, b := range order[i+1:] {
-			pb := pos[b]
-			if !pa.Adjacent(pb) {
+func (r *replayer) checkAdjacency(scope string, t int) {
+	ds := r.k.Drops
+	for i, a := range ds {
+		for _, b := range ds[i+1:] {
+			if !a.At.Adjacent(b.At) {
 				continue
 			}
-			key := [2]ir.FluidID{a, b}
-			if mates[key] || seen[key] {
+			key := [2]ir.FluidID{a.ID, b.ID}
+			if slices.Contains(r.mates, key) || slices.Contains(r.seen, key) {
 				continue
 			}
-			seen[key] = true
-			r.errorf("BF102", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: pa, HasCell: true},
-				"droplets %s (%v) and %s (%v) violate the fluidic constraint", a, pa, b, pb)
+			r.seen = append(r.seen, key)
+			r.errorf("BF102", Pos{Scope: scope, InstrID: -1, Cycle: t, Cell: a.At, HasCell: true},
+				"droplets %s (%v) and %s (%v) violate the fluidic constraint", a.ID, a.At, b.ID, b.At)
 		}
 	}
 }
@@ -747,13 +708,13 @@ func (r *replayer) replayEdge(from, to *cfg.Block) {
 
 	if len(ec.Copies) == 0 {
 		if len(fromExit) > 0 {
-			for _, f := range sortedFluids(fromExit) {
-				r.errorf("BF106", pos, "droplet %s rests at %s exit but the edge transfers nothing", f, from.Label)
+			for _, d := range sortedDroplets(fromExit) {
+				r.errorf("BF106", pos, "droplet %s rests at %s exit but the edge transfers nothing", d.ID, from.Label)
 			}
 		}
 		if len(toEntry) > 0 {
-			for _, f := range sortedFluids(toEntry) {
-				r.errorf("BF106", pos, "%s expects droplet %s at entry but the edge delivers nothing", to.Label, f)
+			for _, d := range sortedDroplets(toEntry) {
+				r.errorf("BF106", pos, "%s expects droplet %s at entry but the edge delivers nothing", to.Label, d.ID)
 			}
 		}
 		return
@@ -763,10 +724,11 @@ func (r *replayer) replayEdge(from, to *cfg.Block) {
 		// Unfolded edge: replay its own sequence from the predecessor's
 		// exit positions and hold the outcome against the successor's
 		// entry contract.
-		start := map[ir.FluidID]arch.Point{}
+		start := make([]motion.Droplet, 0, len(ec.Copies))
 		claimed := map[ir.FluidID]bool{}
 		ok := true
 		for _, cp := range ec.Copies {
+			again := claimed[cp.Src]
 			claimed[cp.Src] = true
 			p, found := fromExit[cp.Src]
 			if !found {
@@ -774,49 +736,39 @@ func (r *replayer) replayEdge(from, to *cfg.Block) {
 				ok = false
 				continue
 			}
-			start[cp.Src] = p
+			if !again {
+				start = append(start, motion.Droplet{ID: cp.Src, At: p})
+			}
 		}
-		for _, f := range sortedFluids(fromExit) {
-			if !claimed[f] {
-				r.errorf("BF106", pos, "droplet %s rests at %s exit but is not transferred on this edge", f, from.Label)
+		for _, d := range sortedDroplets(fromExit) {
+			if !claimed[d.ID] {
+				r.errorf("BF106", pos, "droplet %s rests at %s exit but is not transferred on this edge", d.ID, from.Label)
 			}
 		}
 		if !ok {
 			return
 		}
-		r.cur = nil
-		r.curMoves = nil
-		end := r.replaySequence(scope, ec.Seq, start)
-		r.res.edgeEnd[[2]int{from.ID, to.ID}] = end
+		r.k.Load(start)
+		ok, sr := r.replay(scope, ec.Seq)
 		if r.record {
 			r.res.edgeTouch[[2]int{from.ID, to.ID}] = r.cur
 		}
 		if r.recMoves {
-			sr := &SeqReplay{Start: clonePositions(start), Moves: r.curMoves, OK: end != nil}
-			if end != nil {
-				sr.End = clonePositions(end)
-			}
 			r.res.edgeMoves[[2]int{from.ID, to.ID}] = sr
 		}
-		if end == nil {
+		if !ok {
 			return
 		}
-		for _, f := range sortedFluids(toEntry) {
-			wp := toEntry[f]
-			gp, found := end[f]
-			if !found {
+		r.diffEnd(toEntry,
+			func(f ir.FluidID, wp arch.Point) {
 				r.errorf("BF106", pos, "%s expects droplet %s at %v but the edge does not deliver it", to.Label, f, wp)
-				continue
-			}
-			if gp != wp {
+			},
+			func(f ir.FluidID, wp, gp arch.Point) {
 				r.errorf("BF106", pos, "%s expects droplet %s at %v but the edge delivers it to %v", to.Label, f, wp, gp)
-			}
-		}
-		for _, f := range sortedFluids(end) {
-			if _, found := toEntry[f]; !found {
+			},
+			func(f ir.FluidID, gp arch.Point) {
 				r.errorf("BF106", pos, "edge delivers droplet %s which %s does not expect", f, to.Label)
-			}
-		}
+			})
 		return
 	}
 
@@ -847,16 +799,16 @@ func (r *replayer) replayEdge(from, to *cfg.Block) {
 		}
 		r.errorf("BF106", pos, "edge copies %s<-%s but %s holds neither at exit", cp.Dst, cp.Src, from.Label)
 	}
-	for _, f := range sortedFluids(fromExit) {
+	for _, d := range sortedDroplets(fromExit) {
 		used := false
 		for _, cp := range ec.Copies {
-			if cp.Src == f || cp.Dst == f {
+			if cp.Src == d.ID || cp.Dst == d.ID {
 				used = true
 				break
 			}
 		}
 		if !used {
-			r.errorf("BF106", pos, "droplet %s rests at %s exit but is not transferred on this edge", f, from.Label)
+			r.errorf("BF106", pos, "droplet %s rests at %s exit but is not transferred on this edge", d.ID, from.Label)
 		}
 	}
 }
