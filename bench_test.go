@@ -336,7 +336,8 @@ func BenchmarkRecovery(b *testing.B) {
 				if f.cycle > 0 {
 					faults = []biocoder.Fault{{Cycle: f.cycle}}
 				}
-				res, err := prog.RunWithRecovery(biocoder.RunOptions{Sensors: sensor.NewUniform(1)}, faults, 3)
+				res, err := prog.RunWithPolicy(biocoder.RunOptions{Sensors: sensor.NewUniform(1)},
+					biocoder.RecoveryPolicy{Faults: faults, MaxAttempts: 3})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,7 +26,6 @@ package biocoder
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -188,33 +187,36 @@ type Options struct {
 	// around them — the static half of hard-fault recovery (§8.4).
 	FaultyElectrodes []Point
 	// Tracer, when non-nil, collects hierarchical wall-clock spans for
-	// every compilation phase (SSI → topology → schedule → place →
-	// codegen), with per-block and per-routing-burst detail. A nil tracer
-	// costs nothing. Export the collected spans with obs.SpanEvents /
-	// obs.WriteChromeTrace or inspect them via Tracer.Roots.
+	// every compilation phase (SSI → topology → blocks → edges → fold →
+	// check), with per-block schedule/place/codegen stages and
+	// per-routing-burst detail. A nil tracer costs nothing. Export the
+	// collected spans with obs.SpanEvents / obs.WriteChromeTrace or
+	// inspect them via Tracer.Roots.
 	Tracer *Tracer
 	// Context, when non-nil, bounds the compilation: cancellation or
 	// deadline expiry aborts the pipeline at the next checkpoint — between
-	// phases, per scheduled block, per placed block, and inside the
-	// router's A* search — and Compile returns an error wrapping the
-	// context's error. A nil Context never cancels. The bfd daemon and the
-	// -timeout flags of bfc/bfsim rely on this to shed slow compiles.
+	// phases, per block and per edge, and inside the router's A* search —
+	// and Compile returns an error wrapping the context's error. A nil
+	// Context never cancels. The bfd daemon and the -timeout flags of
+	// bfc/bfsim rely on this to shed slow compiles.
 	Context context.Context
-	// Workers sets the number of concurrent block-synthesis workers for
-	// the back end (schedule → place → codegen per basic block). Values
-	// below 2 keep the serial pipeline. Output is byte-identical to a
-	// serial compile: blocks are synthesized independently (the depgraph
-	// analysis proves that independence) and assembled in block order.
-	// Only the default backend parallelizes; NoLiveRangeSplitting and
-	// FreePlacement place blocks against shared mutable state and fall
-	// back to the serial pipeline.
+	// Workers sets the number of goroutines that synthesize blocks
+	// (schedule → place → codegen) and route CFG edges; values below 2 use
+	// the calling goroutine alone. Every placer runs block by block, so
+	// the output, and the error of a failing compile, are the same at
+	// every worker count: blocks are synthesized independently (the
+	// depgraph analysis proves that independence) and assembled in block
+	// order.
 	Workers int
 	// Memo, when non-nil, memoizes per-block synthesis across compiles,
 	// keyed on the block's content-addressed fingerprint (dependence DAG +
 	// chip + options + compiler Version — see internal/depgraph). An
 	// edited assay then recompiles only its changed blocks. Share one Memo
 	// across compilations to get reuse; it is safe for concurrent use.
-	// Restricted to the default backend like Workers.
+	// Only the virtual-topology placer is memoized: homed placement
+	// (NoLiveRangeSplitting) depends on graph-wide home slots the
+	// fingerprint does not cover, and FreePlacement is not memoized
+	// either.
 	Memo *Memo
 	// Registry, when non-nil, receives process-wide compile metrics:
 	// per-phase durations (biocoder_compile_phase_seconds), total compile
@@ -314,167 +316,9 @@ func CompileGraphOptions(g *cfg.Graph, chip *arch.Chip, opt Options) (*Compiled,
 	return compileGraph(g, chip, opt)
 }
 
-func compileGraph(g *cfg.Graph, chip *arch.Chip, opt Options) (_ *Compiled, err error) {
-	if opt.Registry != nil {
-		// Whole-compile accounting wraps both backends; the serial phases
-		// below additionally record per-phase durations.
-		start := time.Now()
-		defer func() { recordCompile(opt.Registry, time.Since(start), err) }()
-	}
-	if usesBlockBackend(opt) {
-		return compileGraphBlocks(g, chip, opt)
-	}
-	tr := opt.Tracer
-	ctx := opt.Context
-	phase := phaseObserver(opt.Registry)
-	root := tr.Start("compile")
-	root.SetInt("blocks", len(g.Blocks))
-	defer root.End()
-
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	sp := tr.Start("ssi")
-	t0 := time.Now()
-	err = cfg.ToSSI(g)
-	phase("ssi", t0)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("biocoder: SSI conversion: %w", err)
-	}
-	sp = tr.Start("topology")
-	t0 = time.Now()
-	topo, err := place.BuildTopologyFaulty(chip, opt.FaultyElectrodes)
-	phase("topology", t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	policy := sched.CriticalPath
-	if opt.MinSlackScheduling {
-		policy = sched.MinSlack
-	}
-	res := topo.Resources()
-	if opt.FreePlacement {
-		res = place.FreeResources(topo)
-	}
-	sp = tr.Start("schedule")
-	t0 = time.Now()
-	sr, err := sched.Schedule(g, sched.Config{
-		Res:             res,
-		CyclePeriod:     chip.CyclePeriod,
-		Serial:          opt.SerialSchedules,
-		Priority:        policy,
-		BoundaryStorage: opt.NoLiveRangeSplitting,
-		Tracer:          tr,
-		Ctx:             ctx,
-	})
-	phase("schedule", t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	var pl *place.Placement
-	sp = tr.Start("place")
-	t0 = time.Now()
-	switch {
-	case opt.NoLiveRangeSplitting && opt.FreePlacement:
-		sp.End()
-		return nil, fmt.Errorf("biocoder: NoLiveRangeSplitting and FreePlacement are mutually exclusive")
-	case opt.NoLiveRangeSplitting:
-		sp.SetStr("strategy", "homed")
-		pl, err = place.PlaceHomedCtx(ctx, g, sr, topo, tr)
-	case opt.FreePlacement:
-		sp.SetStr("strategy", "free")
-		pl, err = place.PlaceFreeCtx(ctx, g, sr, topo, tr)
-	default:
-		sp.SetStr("strategy", "virtual")
-		pl, err = place.PlaceCtx(ctx, g, sr, topo, tr)
-	}
-	phase("place", t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := pl.Check(); err != nil {
-		return nil, err
-	}
-	sp = tr.Start("codegen")
-	t0 = time.Now()
-	ex, err := codegen.GenerateCtx(ctx, g, sr, pl, topo, tr)
-	phase("codegen", t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if opt.FoldEdges {
-		sp = tr.Start("fold")
-		folded, err := codegen.FoldNonCriticalEdges(ex)
-		sp.SetInt("folded", folded)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp = tr.Start("check")
-	t0 = time.Now()
-	err = ex.Check()
-	phase("check", t0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
-		Chip:       chip,
-		Graph:      g,
-		Topology:   topo,
-		Schedule:   sr,
-		Placement:  pl,
-		Executable: ex,
-	}, nil
-}
-
-// phaseObserver returns a phase-duration recorder for the serial pipeline.
-// With a nil registry it returns a no-op whose per-phase cost is two calls
-// of time.Now — allocation-free, so instrumentation stays unconditionally
-// in place.
-func phaseObserver(reg *obs.Registry) func(name string, since time.Time) {
-	if reg == nil {
-		return func(string, time.Time) {}
-	}
-	return func(name string, since time.Time) {
-		reg.Histogram("biocoder_compile_phase_seconds",
-			"Serial-pipeline compile phase durations.",
-			obs.DefTimeBuckets, obs.L("phase", name)).Observe(time.Since(since).Seconds())
-	}
-}
-
-// recordCompile folds one finished compile (either backend) into the
-// registry: total latency and an outcome counter. Callers guard on a nil
-// registry before deferring this.
-func recordCompile(reg *obs.Registry, elapsed time.Duration, err error) {
-	outcome := "ok"
-	if err != nil {
-		outcome = "error"
-	}
-	reg.Histogram("biocoder_compile_seconds", "Whole-compile wall-clock latency.",
-		obs.DefTimeBuckets).Observe(elapsed.Seconds())
-	reg.Counter("biocoder_compiles_total", "Compiles by outcome.",
-		obs.L("outcome", outcome)).Inc()
-}
-
 // Run simulates the compiled protocol.
 func (c *Compiled) Run(opts RunOptions) (*Result, error) {
 	return exec.Run(c.Executable, c.Chip, opts)
-}
-
-// ctxErr reports the context's cancellation state; a nil context never
-// cancels.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
 }
 
 // Stepper executes an assay one CFG node at a time, for debuggers and
@@ -508,14 +352,6 @@ type (
 	RecoveryEvent = exec.RecoveryEvent
 )
 
-// RunWithRecovery simulates the assay under injected transient droplet
-// losses: each loss is detected through the cyber-physical feedback loop,
-// surviving droplets are flushed, and the assay re-executes with fresh
-// reagents (§8.4 generalized from DAGs to CFGs).
-func (c *Compiled) RunWithRecovery(opts RunOptions, faults []Fault, maxAttempts int) (*RecoveryResult, error) {
-	return exec.RunWithRecovery(c.Executable, c.Chip, opts, faults, maxAttempts)
-}
-
 // RecoveryPolicy configures Compiled.RunWithPolicy — the online recovery
 // controller that closes the cyber-physical loop: detect a permanent
 // electrode fault, recompile around it, route the checkpointed droplets
@@ -524,8 +360,9 @@ type RecoveryPolicy struct {
 	// MaxAttempts bounds executions, including the final successful one
 	// (default 3).
 	MaxAttempts int
-	// Faults are transient droplet losses to inject (recovered by
-	// flush-and-restart, as in RunWithRecovery).
+	// Faults are transient droplet losses to inject, each recovered by
+	// flushing the surviving droplets and restarting the assay with fresh
+	// reagents (§8.4 generalized from DAGs to CFGs).
 	Faults []Fault
 	// Recompile produces a replacement program avoiding the given
 	// electrodes; the slice is the full accumulated fault set (cells the

@@ -14,13 +14,14 @@
 // summary (whole-pipeline statistics).
 //
 // -trace FILE additionally records every compilation phase (parse → SSI →
-// schedule → place → codegen, with per-block and per-routing-burst detail)
-// as Chrome trace-event JSON loadable in Perfetto or chrome://tracing.
+// topology → blocks → edges → check, with each block's schedule, place and
+// codegen stages and per-routing-burst detail) as Chrome trace-event JSON
+// loadable in Perfetto or chrome://tracing.
 //
-// -j N compiles basic blocks on N workers (the output stays byte-identical
-// to the serial pipeline), and -incremental compiles twice against a block
-// memo keyed by content-addressed fingerprints, reporting the cache
-// disposition — the warm recompile must be all hits.
+// -j N compiles basic blocks and routes CFG edges on N workers (the output
+// and any error are the same at every N), and -incremental compiles twice
+// against a block memo keyed by content-addressed fingerprints, reporting
+// the cache disposition — the warm recompile must be all hits.
 package main
 
 import (
@@ -55,7 +56,7 @@ func main() {
 	doAnalyze := flag.Bool("analyze", false, "run the abstract-interpretation analyses (volumes, timing, contamination); fail on error diagnostics")
 	doPins := flag.Bool("pins", false, "run the pin-constrained safety analysis (interference graph, DSATUR pin count, broadcast replay); fail on error diagnostics")
 	tracePath := flag.String("trace", "", "write compile-phase spans as Chrome trace-event JSON (load in Perfetto) to this file")
-	workers := flag.Int("j", 0, "compile basic blocks on this many workers (0 or 1: serial pipeline; output is byte-identical)")
+	workers := flag.Int("j", 0, "compile basic blocks on this many workers (0 or 1: one; output is the same at every count)")
 	incremental := flag.Bool("incremental", false, "compile twice against a block memo and report the cache disposition; the recompile must be all hits")
 	timeout := flag.Duration("timeout", 0, "abort compilation after this duration (0: no limit)")
 	list := flag.Bool("list", false, "list benchmark assays and exit")

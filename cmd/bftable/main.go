@@ -5,9 +5,9 @@
 // the static best/worst-case bounds from the abstract-interpretation timing
 // analysis (every measured run must land inside its bracket).
 //
-// Each row also breaks the compile time down by phase (schedule, place,
-// route, codegen) from the compiler's own phase spans; routing is reported
-// separately even though it runs inside code generation. The Pins column
+// Each row also breaks the compile time down by stage (schedule, place,
+// route, codegen) from the compiler's own per-block stage spans; routing is
+// reported separately even though it runs inside code generation. The Pins column
 // reports the pin-constrained summary from internal/pinsafe: the DSATUR
 // minimum safe control-pin count over the number of electrodes actuated.
 //
@@ -33,14 +33,16 @@ import (
 )
 
 // compilePhases extracts the per-phase compile-time breakdown from the
-// collected spans. Routing runs nested inside codegen's block and edge
-// spans, so it is pulled out and codegen reports only its own share.
+// collected spans: every block's schedule, place and codegen stages, and
+// the edge phase, which is code generation too. Routing runs nested inside
+// the codegen stages and the edge spans, so it is pulled out and codegen
+// reports only its own share.
 func compilePhases(tr *biocoder.Tracer) (sched, place, route, cg time.Duration) {
 	roots := tr.Roots()
 	sched = obs.NamedTotal(roots, "schedule")
 	place = obs.NamedTotal(roots, "place")
 	route = obs.NamedTotal(roots, "route")
-	cg = obs.NamedTotal(roots, "codegen") - route
+	cg = obs.NamedTotal(roots, "codegen") + obs.NamedTotal(roots, "edges") - route
 	if cg < 0 {
 		cg = 0
 	}

@@ -4,9 +4,9 @@
 // of expected phase shares — fails when the distribution drifts beyond a
 // tolerance, so a compile-time regression in one phase (a router blowup, a
 // scheduler slowdown) is caught by CI rather than hidden inside a total.
-// Traces from the parallel block backend (bfc -j / -incremental) carry the
-// block-memo cache disposition on their "compile" spans; bftrace sums those
-// counters and prints a memo reuse line under the phase table.
+// Traces of memoized compiles (bfc -incremental) carry the block-memo cache
+// disposition on their "compile" spans; bftrace sums those counters and
+// prints a memo reuse line under the phase table.
 //
 // Usage:
 //
@@ -17,7 +17,8 @@
 // Shares are compared absolutely: a baseline share of 0.40 with tolerance
 // 0.30 accepts anything in [0.10, 0.70]. The default tolerance is generous
 // by design — phase shares vary with machine load; only structural shifts
-// should fail the check.
+// should fail the check. A phase present in the traces but not in the
+// baseline, or the reverse, is such a shift and fails at any tolerance.
 package main
 
 import (
@@ -36,13 +37,12 @@ import (
 // direct children of the "compile" root span plus the front-end spans
 // ("parse", "lower") that precede it, and the static-oracle passes bfc
 // runs after it ("verify", "analysis", "pinsafe": bfc -verify -analyze
-// -pins). Nested detail spans ("block …", "edge …", "route", pinsafe's
+// -pins). Nested detail spans ("block …" with its "schedule", "place" and
+// "codegen" stages, "edge …", "route", pinsafe's
 // "interference"/"assign"/"broadcast") are deliberately excluded — their
 // time is already inside their parent phase's duration and would
-// double-count. "blocks" and "edges" are the parallel block backend's
-// fan-out phases (bfc -j), which replace schedule/place/codegen in such
-// traces.
-var phaseNames = []string{"parse", "lower", "ssi", "topology", "schedule", "place", "codegen", "blocks", "edges", "fold", "check",
+// double-count.
+var phaseNames = []string{"parse", "lower", "ssi", "topology", "blocks", "edges", "fold", "check",
 	"verify", "analysis", "pinsafe"}
 
 // baseline is the committed phase-share snapshot CI diffs against.
@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-10s %10.2fms %6.1f%%\n", n, totals[n]/1000, shares[n]*100)
 	}
 	if memo.hits+memo.misses > 0 {
-		fmt.Fprintf(stdout, "memo: %d hit(s), %d miss(es) (%.0f%% block reuse) across %d parallel compile(s)\n",
+		fmt.Fprintf(stdout, "memo: %d hit(s), %d miss(es) (%.0f%% block reuse) across %d memoized compile(s)\n",
 			memo.hits, memo.misses,
 			100*float64(memo.hits)/float64(memo.hits+memo.misses), memo.compiles)
 	}
@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // memoCounters aggregates the block-memo cache disposition recorded on
-// "compile" root spans by the parallel backend (bfc -j/-incremental).
+// the "compile" root spans of memoized compiles (bfc -incremental).
 type memoCounters struct {
 	hits, misses int
 	compiles     int // "compile" spans that carried memo counters
@@ -211,7 +211,17 @@ func checkBaseline(path string, shares map[string]float64, tol float64, stdout, 
 	sort.Strings(sorted)
 	failed := 0
 	for _, n := range sorted {
-		got, want := shares[n], bl.Phases[n]
+		got, inTraces := shares[n]
+		want, inBaseline := bl.Phases[n]
+		if inTraces != inBaseline {
+			where := "the traces but not the baseline"
+			if inBaseline {
+				where = "the baseline but not the traces"
+			}
+			fmt.Fprintf(stderr, "bftrace: phase %q is in %s\n", n, where)
+			failed++
+			continue
+		}
 		if drift := math.Abs(got - want); drift > tol {
 			fmt.Fprintf(stderr, "bftrace: phase %q share %.3f drifted from baseline %.3f by %.3f (tolerance %.3f)\n",
 				n, got, want, drift, tol)

@@ -11,17 +11,21 @@ import (
 )
 
 // writeTestTrace writes a synthetic but schema-valid compile trace with a
-// known phase distribution: schedule 50µs, codegen 30µs, place 20µs under
-// a 100µs compile root (the root and the nested route span must not count
-// toward shares).
+// known phase distribution: blocks 50µs, edges 30µs, check 20µs under a
+// 100µs compile root. The root, a block's schedule/place/codegen stages
+// and the nested route span must not count toward shares.
 func writeTestTrace(t *testing.T) string {
 	t.Helper()
 	events := []obs.TraceEvent{
 		{Name: "compile", Ph: "X", Ts: 0, Dur: 100, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
-		{Name: "schedule", Ph: "X", Ts: 0, Dur: 50, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
-		{Name: "place", Ph: "X", Ts: 50, Dur: 20, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
-		{Name: "codegen", Ph: "X", Ts: 70, Dur: 30, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
-		{Name: "route", Ph: "X", Ts: 75, Dur: 10, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "blocks", Ph: "X", Ts: 0, Dur: 50, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "block b0", Ph: "X", Ts: 0, Dur: 50, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "schedule", Ph: "X", Ts: 0, Dur: 20, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "place", Ph: "X", Ts: 20, Dur: 10, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "codegen", Ph: "X", Ts: 30, Dur: 20, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "route", Ph: "X", Ts: 35, Dur: 10, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "edges", Ph: "X", Ts: 50, Dur: 30, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "check", Ph: "X", Ts: 80, Dur: 20, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")
 	f, err := os.Create(path)
@@ -43,13 +47,15 @@ func TestRunBreakdown(t *testing.T) {
 	if code := run([]string{trace}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"schedule", "50.0%", "codegen", "30.0%", "place", "20.0%"} {
+	for _, want := range []string{"blocks", "50.0%", "edges", "30.0%", "check", "20.0%"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("breakdown missing %q:\n%s", want, out.String())
 		}
 	}
-	if strings.Contains(out.String(), "route") {
-		t.Errorf("nested route span must not appear as a phase:\n%s", out.String())
+	for _, nested := range []string{"schedule", "place", "codegen", "route"} {
+		if strings.Contains(out.String(), nested) {
+			t.Errorf("nested %s span must not appear as a phase:\n%s", nested, out.String())
+		}
 	}
 }
 
@@ -58,7 +64,7 @@ func TestRunBreakdown(t *testing.T) {
 func TestOraclePhases(t *testing.T) {
 	events := []obs.TraceEvent{
 		{Name: "compile", Ph: "X", Ts: 0, Dur: 40, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
-		{Name: "codegen", Ph: "X", Ts: 0, Dur: 40, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
+		{Name: "blocks", Ph: "X", Ts: 0, Dur: 40, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
 		{Name: "verify", Ph: "X", Ts: 40, Dur: 20, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
 		{Name: "analysis", Ph: "X", Ts: 60, Dur: 10, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
 		{Name: "pinsafe", Ph: "X", Ts: 70, Dur: 30, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
@@ -79,7 +85,7 @@ func TestOraclePhases(t *testing.T) {
 	if code := run([]string{path}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"codegen", "40.0%", "verify", "20.0%", "analysis", "10.0%", "pinsafe", "30.0%"} {
+	for _, want := range []string{"blocks", "40.0%", "verify", "20.0%", "analysis", "10.0%", "pinsafe", "30.0%"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("breakdown missing %q:\n%s", want, out.String())
 		}
@@ -109,7 +115,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 func TestBaselineDrift(t *testing.T) {
 	trace := writeTestTrace(t)
 	base := filepath.Join(t.TempDir(), "baseline.json")
-	bl := `{"tolerance": 0.05, "phases": {"schedule": 0.9, "place": 0.05, "codegen": 0.05}}`
+	bl := `{"tolerance": 0.05, "phases": {"blocks": 0.9, "edges": 0.05, "check": 0.05}}`
 	if err := os.WriteFile(base, []byte(bl), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +126,32 @@ func TestBaselineDrift(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "drifted from baseline") {
 		t.Errorf("missing drift diagnostic:\n%s", errb.String())
+	}
+}
+
+// TestBaselinePhaseSet checks that a baseline naming other phases than the
+// traces fails even when every share sits within the tolerance: here the
+// baseline still has a top-level codegen phase where the traces have
+// check, both at 0.2, under a tolerance of 0.3.
+func TestBaselinePhaseSet(t *testing.T) {
+	trace := writeTestTrace(t)
+	base := filepath.Join(t.TempDir(), "baseline.json")
+	bl := `{"tolerance": 0.3, "phases": {"blocks": 0.5, "edges": 0.3, "codegen": 0.2}}`
+	if err := os.WriteFile(base, []byte(bl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-baseline", base, trace}, &out, &errb); code != 1 {
+		t.Fatalf("expected a phase-set failure (exit 1), got %d\nstdout: %s\nstderr: %s",
+			code, out.String(), errb.String())
+	}
+	for _, want := range []string{
+		`phase "check" is in the traces but not the baseline`,
+		`phase "codegen" is in the baseline but not the traces`,
+	} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("missing %q:\n%s", want, errb.String())
+		}
 	}
 }
 
@@ -135,8 +167,8 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestMemoCounters checks that the block-memo cache disposition recorded on
-// "compile" spans by the parallel backend is summed across files and
-// printed, and that serial traces (no counters) stay silent.
+// the "compile" spans of memoized compiles is summed across files and
+// printed, and that traces without a memo (no counters) stay silent.
 func TestMemoCounters(t *testing.T) {
 	events := []obs.TraceEvent{
 		{Name: "compile", Ph: "X", Ts: 0, Dur: 100, Pid: 1, Tid: obs.CompileTrack, Cat: "compile",
@@ -144,7 +176,7 @@ func TestMemoCounters(t *testing.T) {
 		{Name: "blocks", Ph: "X", Ts: 0, Dur: 80, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
 		{Name: "edges", Ph: "X", Ts: 80, Dur: 20, Pid: 1, Tid: obs.CompileTrack, Cat: "compile"},
 	}
-	path := filepath.Join(t.TempDir(), "parallel.json")
+	path := filepath.Join(t.TempDir(), "memo.json")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -159,11 +191,11 @@ func TestMemoCounters(t *testing.T) {
 	if code := run([]string{path, path}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "memo: 6 hit(s), 4 miss(es) (60% block reuse) across 2 parallel compile(s)") {
+	if !strings.Contains(out.String(), "memo: 6 hit(s), 4 miss(es) (60% block reuse) across 2 memoized compile(s)") {
 		t.Errorf("memo disposition line missing or wrong:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "blocks") || !strings.Contains(out.String(), "edges") {
-		t.Errorf("parallel fan-out phases missing from the table:\n%s", out.String())
+		t.Errorf("fan-out phases missing from the table:\n%s", out.String())
 	}
 
 	out.Reset()
@@ -171,6 +203,6 @@ func TestMemoCounters(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	if strings.Contains(out.String(), "memo:") {
-		t.Errorf("serial trace printed a memo line:\n%s", out.String())
+		t.Errorf("trace without a memo printed a memo line:\n%s", out.String())
 	}
 }

@@ -52,8 +52,8 @@ func main() {
 	fmt.Printf("clean run:                 %v\n", clean.Time.Round(time.Second))
 
 	for _, cycle := range []int{5_000, 30_000, 60_000} {
-		res, err := prog.RunWithRecovery(biocoder.RunOptions{},
-			[]biocoder.Fault{{Cycle: cycle}}, 3)
+		res, err := prog.RunWithPolicy(biocoder.RunOptions{},
+			biocoder.RecoveryPolicy{Faults: []biocoder.Fault{{Cycle: cycle}}, MaxAttempts: 3})
 		if err != nil {
 			log.Fatal(err)
 		}

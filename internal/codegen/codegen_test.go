@@ -34,7 +34,7 @@ func compile(t *testing.T, chip *arch.Chip, rec func(bs *lang.BioSystem)) (*cfg.
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	pl, err := place.Place(g, sr, topo)
+	pl, err := place.Place(g, sr, topo, place.Virtual)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
 	}

@@ -37,7 +37,7 @@ func compileExt(t *testing.T, chip *arch.Chip, rec func(bs *lang.BioSystem)) *co
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	pl, err := place.Place(g, sr, topo)
+	pl, err := place.Place(g, sr, topo, place.Virtual)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
 	}

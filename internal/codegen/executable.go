@@ -24,21 +24,9 @@ type Executable struct {
 	Edges  map[[2]int]*EdgeCode
 }
 
-// Generate runs code generation over a scheduled and placed program. An
-// optional trailing tracer receives per-block and per-edge spans (the
-// parameter is variadic so pre-observability call sites compile unchanged).
-func Generate(g *cfg.Graph, sr *sched.Result, pl *place.Placement, topo *place.Topology, tracer ...*obs.Tracer) (*Executable, error) {
-	var tr *obs.Tracer
-	if len(tracer) > 0 {
-		tr = tracer[0]
-	}
-	return GenerateCtx(nil, g, sr, pl, topo, tr)
-}
-
-// GenerateCtx is Generate bounded by a context: cancellation or deadline
-// expiry aborts code generation at the next per-block/per-edge checkpoint
-// and interrupts in-flight routing searches. A nil ctx never cancels.
-func GenerateCtx(ctx context.Context, g *cfg.Graph, sr *sched.Result, pl *place.Placement, topo *place.Topology, tr *obs.Tracer) (*Executable, error) {
+// Generate runs code generation over a whole-graph schedule and placement:
+// GenBlock for every block, then GenEdge for every CFG edge.
+func Generate(g *cfg.Graph, sr *sched.Result, pl *place.Placement, topo *place.Topology) (*Executable, error) {
 	ex := &Executable{
 		Graph:  g,
 		Topo:   topo,
@@ -46,65 +34,40 @@ func GenerateCtx(ctx context.Context, g *cfg.Graph, sr *sched.Result, pl *place.
 		Edges:  map[[2]int]*EdgeCode{},
 	}
 	for _, b := range g.Blocks {
-		if err := ctxErr(ctx); err != nil {
-			return nil, fmt.Errorf("codegen: %w", err)
-		}
 		bs := sr.Blocks[b.ID]
 		bp := pl.Blocks[b.ID]
 		if bs == nil || bp == nil {
 			return nil, fmt.Errorf("codegen: block %s missing schedule or placement", b.Label)
 		}
-		sp := tr.Start("block " + b.Label)
-		sp.SetInt("block", b.ID)
-		bc, err := genBlock(ctx, b, bs, bp, topo, tr)
+		bc, err := GenBlock(nil, b, bs, bp, topo, nil)
 		if err != nil {
-			sp.End()
 			return nil, err
 		}
-		sp.SetInt("cycles", bc.Seq.NumCycles)
-		sp.End()
 		ex.Blocks[b.ID] = bc
 	}
 	for _, e := range g.Edges() {
-		if err := ctxErr(ctx); err != nil {
-			return nil, fmt.Errorf("codegen: %w", err)
-		}
-		sp := tr.Start("edge " + e.From.Label + "->" + e.To.Label)
-		ec, err := genEdge(ctx, e.From, e.To, ex.Blocks[e.From.ID], ex.Blocks[e.To.ID], topo.Chip, topo, tr)
+		ec, err := GenEdge(nil, e.From, e.To, ex.Blocks[e.From.ID], ex.Blocks[e.To.ID], topo, nil)
 		if err != nil {
-			sp.End()
 			return nil, err
 		}
-		sp.SetInt("cycles", ec.Seq.NumCycles)
-		sp.SetInt("copies", len(ec.Copies))
-		sp.End()
 		ex.Edges[[2]int{e.From.ID, e.To.ID}] = ec
 	}
 	return ex, nil
 }
 
-// GenBlock generates the activation sequence of one scheduled, placed block —
-// the per-block entry point of the parallel backend. It reads only the
-// block's own schedule/placement and the shared read-only topology, so
-// GenerateCtx's block loop is equivalent to calling it per block.
+// GenBlock generates the activation sequence of one scheduled, placed
+// block. It reads only the block's own schedule and placement and the
+// shared read-only topology, so blocks generate independently and
+// concurrently. A nil ctx never cancels; cancellation interrupts in-flight
+// routing searches.
 func GenBlock(ctx context.Context, b *cfg.Block, bs *sched.BlockSchedule, bp *place.BlockPlacement, topo *place.Topology, tr *obs.Tracer) (*BlockCode, error) {
 	return genBlock(ctx, b, bs, bp, topo, tr)
 }
 
 // GenEdge generates the transfer sequence of one CFG edge from the two
-// adjacent blocks' compiled code — the per-edge entry point of the parallel
-// backend and of fault-scoped partial recompilation.
+// adjacent blocks' compiled code.
 func GenEdge(ctx context.Context, from, to *cfg.Block, fromCode, toCode *BlockCode, topo *place.Topology, tr *obs.Tracer) (*EdgeCode, error) {
 	return genEdge(ctx, from, to, fromCode, toCode, topo.Chip, topo, tr)
-}
-
-// ctxErr reports the context's cancellation state; a nil context never
-// cancels.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
 }
 
 // Edge returns the compiled form of the edge from → to.

@@ -138,14 +138,6 @@ type RecoveryResult struct {
 	Events []RecoveryEvent
 }
 
-// RunWithRecovery executes the assay, injecting each Fault once and
-// recovering by whole-program restart with flushed survivors. It is the
-// transient-loss special case of RunWithPolicy, kept for callers that need
-// no recompilation hook.
-func RunWithRecovery(ex *codegen.Executable, chip *arch.Chip, opts Options, faults []Fault, maxAttempts int) (*RecoveryResult, error) {
-	return RunWithPolicy(ex, chip, opts, RecoveryPolicy{MaxAttempts: maxAttempts, Faults: faults})
-}
-
 // RunWithPolicy executes the assay under the given recovery policy,
 // stepping block by block and checkpointing at every boundary. On a
 // transient loss it flushes and restarts (charged one chip traversal per

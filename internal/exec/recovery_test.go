@@ -38,10 +38,10 @@ func TestRecoveryFromDropletLoss(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 
-	res, err := RunWithRecovery(ex, chip, Options{Sensors: sensor.Constant(0.9)},
-		[]Fault{{Cycle: 300}}, 3)
+	res, err := RunWithPolicy(ex, chip, Options{Sensors: sensor.Constant(0.9)},
+		RecoveryPolicy{Faults: []Fault{{Cycle: 300}}, MaxAttempts: 3})
 	if err != nil {
-		t.Fatalf("RunWithRecovery: %v", err)
+		t.Fatalf("RunWithPolicy: %v", err)
 	}
 	if res.Recoveries != 1 || res.Attempts != 2 {
 		t.Errorf("recoveries/attempts = %d/%d, want 1/2", res.Recoveries, res.Attempts)
@@ -64,10 +64,10 @@ func TestRecoveryFromDropletLoss(t *testing.T) {
 func TestRecoveryMultipleFaults(t *testing.T) {
 	chip := arch.Default()
 	ex := compile(t, chip, recoveryAssay)
-	res, err := RunWithRecovery(ex, chip, Options{Sensors: sensor.Constant(0.9)},
-		[]Fault{{Cycle: 200}, {Cycle: 400}}, 5)
+	res, err := RunWithPolicy(ex, chip, Options{Sensors: sensor.Constant(0.9)},
+		RecoveryPolicy{Faults: []Fault{{Cycle: 200}, {Cycle: 400}}, MaxAttempts: 5})
 	if err != nil {
-		t.Fatalf("RunWithRecovery: %v", err)
+		t.Fatalf("RunWithPolicy: %v", err)
 	}
 	if res.Recoveries != 2 || res.Attempts != 3 {
 		t.Errorf("recoveries/attempts = %d/%d, want 2/3", res.Recoveries, res.Attempts)
@@ -79,7 +79,8 @@ func TestRecoveryGivesUp(t *testing.T) {
 	ex := compile(t, chip, recoveryAssay)
 	// More faults than attempts allowed.
 	faults := []Fault{{Cycle: 100}, {Cycle: 100}, {Cycle: 100}, {Cycle: 100}}
-	_, err := RunWithRecovery(ex, chip, Options{Sensors: sensor.Constant(0.9)}, faults, 3)
+	_, err := RunWithPolicy(ex, chip, Options{Sensors: sensor.Constant(0.9)},
+		RecoveryPolicy{Faults: faults, MaxAttempts: 3})
 	if err == nil || !strings.Contains(err.Error(), "recovery attempts") {
 		t.Fatalf("want give-up error, got %v", err)
 	}
@@ -88,7 +89,7 @@ func TestRecoveryGivesUp(t *testing.T) {
 func TestRecoveryNoFaultsIsPlainRun(t *testing.T) {
 	chip := arch.Default()
 	ex := compile(t, chip, recoveryAssay)
-	res, err := RunWithRecovery(ex, chip, Options{Sensors: sensor.Constant(0.9)}, nil, 3)
+	res, err := RunWithPolicy(ex, chip, Options{Sensors: sensor.Constant(0.9)}, RecoveryPolicy{MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func compileFaulty(chip *arch.Chip, rec func(bs *lang.BioSystem), faults []arch.
 	if err != nil {
 		return nil, err
 	}
-	pl, err := place.Place(g, sr, topo)
+	pl, err := place.Place(g, sr, topo, place.Virtual)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func Run(g *cfg.Graph, chip *arch.Chip, opts exec.Options, pause Pause) (*Result
 	if err != nil {
 		return nil, err
 	}
-	pl, err := place.Place(g, sr, topo)
+	pl, err := place.Place(g, sr, topo, place.Virtual)
 	if err != nil {
 		return nil, err
 	}

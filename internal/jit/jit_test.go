@@ -60,7 +60,7 @@ func staticTime(t *testing.T, chip *arch.Chip, opts exec.Options) time.Duration 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := place.Place(g, sr, topo)
+	pl, err := place.Place(g, sr, topo, place.Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}

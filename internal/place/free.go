@@ -1,23 +1,20 @@
 package place
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"biocoder/internal/arch"
-	"biocoder/internal/cfg"
 	"biocoder/internal/ir"
-	"biocoder/internal/obs"
 	"biocoder/internal/sched"
 )
 
-// PlaceFree is the paper's §6.3.1-6.3.2 placement formulation, without the
-// virtual topology: every scheduled item receives an arbitrary rectangular
-// footprint subject to constraints (2)-(4) — on-chip, and at least one free
-// electrode between concurrently placed modules — plus the optional
-// constraints the paper mentions (placed modules do not cover I/O port
-// cells; sensing and heating sit on their devices). Placement proceeds
+// The free placer is the paper's §6.3.1-6.3.2 placement formulation,
+// without the virtual topology: every scheduled item receives an arbitrary
+// rectangular footprint subject to constraints (2)-(4) — on-chip, and at
+// least one free electrode between concurrently placed modules — plus the
+// optional constraints the paper mentions (placed modules do not cover I/O
+// port cells; sensing and heating sit on their devices). Placement proceeds
 // program point by program point in schedule order with a greedy first-fit
 // position scan (Bazargan-style), preferring to keep each droplet where it
 // already is.
@@ -26,33 +23,6 @@ import (
 // scheduler's resource abstraction is only a conservative area estimate
 // (FreeResources), so dense schedules can fail here — exactly the behavior
 // the paper contrasts against the guaranteed heuristics of §7.2.
-func PlaceFree(g *cfg.Graph, s *sched.Result, topo *Topology, tracer ...*obs.Tracer) (*Placement, error) {
-	return PlaceFreeCtx(nil, g, s, topo, optTracer(tracer))
-}
-
-// PlaceFreeCtx is PlaceFree bounded by a context: cancellation or deadline
-// expiry aborts placement at the next per-block checkpoint. A nil ctx
-// never cancels.
-func PlaceFreeCtx(ctx context.Context, g *cfg.Graph, s *sched.Result, topo *Topology, tr *obs.Tracer) (*Placement, error) {
-	pl := &Placement{Topo: topo, Blocks: map[int]*BlockPlacement{}}
-	for _, b := range g.Blocks {
-		if err := ctxErr(ctx); err != nil {
-			return nil, fmt.Errorf("place: %w", err)
-		}
-		bs := s.Blocks[b.ID]
-		if bs == nil {
-			return nil, fmt.Errorf("place: block %s has no schedule", b.Label)
-		}
-		sp := blockSpan(tr, b.ID, b.Label, bs, "free")
-		bp, err := placeBlockFree(bs, topo)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("place: block %s: %w", b.Label, err)
-		}
-		pl.Blocks[b.ID] = bp
-	}
-	return pl, nil
-}
 
 // FreeResources is the conservative spatial estimate the scheduler uses
 // when the free placer will do placement (§5: "a conservative approximation

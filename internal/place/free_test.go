@@ -33,9 +33,9 @@ func compileFree(t *testing.T, chip *arch.Chip, rec func(bs *lang.BioSystem)) (*
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	pl, err := PlaceFree(g, sr, topo)
+	pl, err := Place(g, sr, topo, Free)
 	if err != nil {
-		t.Fatalf("PlaceFree: %v", err)
+		t.Fatalf("free placement: %v", err)
 	}
 	return g, sr, pl, topo
 }

@@ -1,18 +1,16 @@
 package place
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
 	"biocoder/internal/ir"
-	"biocoder/internal/obs"
 	"biocoder/internal/sched"
 )
 
-// PlaceHomed emulates CFG placement *without* live-range splitting
+// The homed placer emulates CFG placement *without* live-range splitting
 // (paper §6.3.3): in the interference-graph formulation every operation —
 // including the storage of a live range that crosses block boundaries —
 // receives a single global location, so control-flow transfers need no
@@ -30,17 +28,10 @@ import (
 // plain slots for whole live ranges (demand may exceed the chip where the
 // splitting placer would succeed), and every block pays in-block transport
 // to and from the home instead of the cheaper per-edge routes.
-func PlaceHomed(g *cfg.Graph, s *sched.Result, topo *Topology, tracer ...*obs.Tracer) (*Placement, error) {
-	return PlaceHomedCtx(nil, g, s, topo, optTracer(tracer))
-}
 
-// PlaceHomedCtx is PlaceHomed bounded by a context: cancellation or
-// deadline expiry aborts placement at the next per-block checkpoint. A nil
-// ctx never cancels.
-func PlaceHomedCtx(ctx context.Context, g *cfg.Graph, s *sched.Result, topo *Topology, tr *obs.Tracer) (*Placement, error) {
-	live := cfg.ComputeLiveness(g)
-
-	// Names whose live ranges cross block boundaries need homes.
+// homeSlots gives every fluid name whose live range crosses a block
+// boundary its home plain slot, in name order.
+func homeSlots(g *cfg.Graph, topo *Topology) (map[string]int, error) {
 	nameSet := map[string]bool{}
 	for _, b := range g.Blocks {
 		for _, phi := range b.Phis {
@@ -61,29 +52,13 @@ func PlaceHomedCtx(ctx context.Context, g *cfg.Graph, s *sched.Result, topo *Top
 	for i, n := range names {
 		homes[n] = plain[i].Index
 	}
-
-	pl := &Placement{Topo: topo, Blocks: map[int]*BlockPlacement{}}
-	for _, b := range g.Blocks {
-		if err := ctxErr(ctx); err != nil {
-			return nil, fmt.Errorf("place: %w", err)
-		}
-		bs := s.Blocks[b.ID]
-		if bs == nil {
-			return nil, fmt.Errorf("place: block %s has no schedule", b.Label)
-		}
-		sp := blockSpan(tr, b.ID, b.Label, bs, "homed")
-		bp, err := placeBlockHomed(b, bs, topo, homes, live)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("place: block %s: %w", b.Label, err)
-		}
-		pl.Blocks[b.ID] = bp
-	}
-	return pl, nil
+	return homes, nil
 }
 
-// placeBlockHomed is placeBlock with boundary storage pinned to homes.
-func placeBlockHomed(b *cfg.Block, bs *sched.BlockSchedule, topo *Topology, homes map[string]int, live *cfg.Liveness) (*BlockPlacement, error) {
+// placeBlockHomed is placeBlock with boundary storage pinned to homes;
+// liveOut is the block's live-out set.
+func placeBlockHomed(bs *sched.BlockSchedule, topo *Topology, homes map[string]int, liveOut cfg.Set) (*BlockPlacement, error) {
+	b := bs.Block
 	bp := &BlockPlacement{
 		Block:  b,
 		Sched:  bs,
@@ -106,7 +81,7 @@ func placeBlockHomed(b *cfg.Block, bs *sched.BlockSchedule, topo *Topology, home
 		switch {
 		case it.IsStorage():
 			isEntry := it.Start == 0 && phiDst[it.Fluid]
-			isExit := it.End == bs.Length && live.Out[b.ID][it.Fluid]
+			isExit := it.End == bs.Length && liveOut[it.Fluid]
 			idx := -1
 			if isEntry || isExit {
 				home, ok := homes[it.Fluid.Name]

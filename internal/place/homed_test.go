@@ -35,9 +35,9 @@ func compileHomed(t *testing.T, chip *arch.Chip, rec func(bs *lang.BioSystem)) (
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	pl, err := PlaceHomed(g, sr, topo)
+	pl, err := Place(g, sr, topo, Homed)
 	if err != nil {
-		t.Fatalf("PlaceHomed: %v", err)
+		t.Fatalf("homed placement: %v", err)
 	}
 	return g, sr, pl, topo
 }
@@ -128,13 +128,10 @@ func TestHomedFailsWhenHomesExceedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := sched.Schedule(g, sched.Config{
-		Res: topo.Resources(), CyclePeriod: 10 * time.Millisecond, BoundaryStorage: true,
-	})
-	if err != nil {
-		t.Skipf("schedule already failed (acceptable): %v", err)
-	}
-	_, err = PlaceHomed(g, sr, topo)
+	// The homes are assigned when the placer is made, before any block is
+	// scheduled: the scheduler's own capacity check would fail this
+	// fixture first.
+	_, err = NewBlockPlacer(Homed, g, topo)
 	if err == nil || !strings.Contains(err.Error(), "home") {
 		t.Errorf("want homes-exceed-slots error, got %v", err)
 	}

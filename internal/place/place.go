@@ -1,14 +1,12 @@
 package place
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
 	"biocoder/internal/ir"
-	"biocoder/internal/obs"
 	"biocoder/internal/sched"
 )
 
@@ -100,76 +98,73 @@ func holdsFluid(it *sched.Item, f ir.FluidID) bool {
 	return it.Instr.UsesFluid(f) || it.Instr.DefinesFluid(f)
 }
 
-// Place assigns a location to every scheduled item of every block using the
-// greedy virtual-topology binder. Items are processed in start order, so
-// per-pool assignment is interval-graph coloring: it succeeds whenever the
-// schedule respected the topology-derived resource counts.
-func Place(g *cfg.Graph, s *sched.Result, topo *Topology, tracer ...*obs.Tracer) (*Placement, error) {
-	return PlaceCtx(nil, g, s, topo, optTracer(tracer))
+// Strategy selects a placement formulation.
+type Strategy int
+
+const (
+	// Virtual binds items to the virtual topology's module slots with a
+	// greedy in-order sweep (§6.3.4). Items are processed in start order,
+	// so per-pool assignment is interval-graph coloring: it succeeds
+	// whenever the schedule respected the topology-derived resource counts.
+	Virtual Strategy = iota
+	// Homed pins every cross-block fluid to a home slot: placement without
+	// live-range splitting (§6.3.3, homed.go).
+	Homed
+	// Free places arbitrary module rectangles without the virtual topology
+	// (§6.3.1-6.3.2, free.go).
+	Free
+)
+
+// BlockPlacer places one scheduled block. It reads only the block's own
+// schedule and state fixed when the placer was made, so blocks place
+// independently and concurrently (§6.3.4).
+type BlockPlacer func(bs *sched.BlockSchedule) (*BlockPlacement, error)
+
+// NewBlockPlacer returns the strategy's per-block placer for the SSI-form
+// graph g on topo. The homed placer assigns every cross-block fluid its
+// home slot here, once for the whole graph.
+func NewBlockPlacer(strategy Strategy, g *cfg.Graph, topo *Topology) (BlockPlacer, error) {
+	placeOne := func(bs *sched.BlockSchedule) (*BlockPlacement, error) { return placeBlock(bs, topo) }
+	switch strategy {
+	case Homed:
+		homes, err := homeSlots(g, topo)
+		if err != nil {
+			return nil, err
+		}
+		live := cfg.ComputeLiveness(g)
+		placeOne = func(bs *sched.BlockSchedule) (*BlockPlacement, error) {
+			return placeBlockHomed(bs, topo, homes, live.Out[bs.Block.ID])
+		}
+	case Free:
+		placeOne = func(bs *sched.BlockSchedule) (*BlockPlacement, error) { return placeBlockFree(bs, topo) }
+	}
+	return func(bs *sched.BlockSchedule) (*BlockPlacement, error) {
+		bp, err := placeOne(bs)
+		if err != nil {
+			return nil, fmt.Errorf("place: block %s: %w", bs.Block.Label, err)
+		}
+		return bp, nil
+	}, nil
 }
 
-// PlaceCtx is Place bounded by a context: cancellation or deadline expiry
-// aborts placement at the next per-block checkpoint. A nil ctx never
-// cancels.
-func PlaceCtx(ctx context.Context, g *cfg.Graph, s *sched.Result, topo *Topology, tr *obs.Tracer) (*Placement, error) {
+// Place places every block of a whole-graph schedule with the strategy's
+// block placer.
+func Place(g *cfg.Graph, s *sched.Result, topo *Topology, strategy Strategy) (*Placement, error) {
+	placeOne, err := NewBlockPlacer(strategy, g, topo)
+	if err != nil {
+		return nil, err
+	}
 	pl := &Placement{Topo: topo, Blocks: map[int]*BlockPlacement{}}
 	for _, b := range g.Blocks {
-		if err := ctxErr(ctx); err != nil {
-			return nil, fmt.Errorf("place: %w", err)
-		}
 		bs := s.Blocks[b.ID]
 		if bs == nil {
 			return nil, fmt.Errorf("place: block %s has no schedule", b.Label)
 		}
-		sp := blockSpan(tr, b.ID, b.Label, bs, "virtual")
-		bp, err := placeBlock(bs, topo)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("place: block %s: %w", b.Label, err)
+		if pl.Blocks[b.ID], err = placeOne(bs); err != nil {
+			return nil, err
 		}
-		pl.Blocks[b.ID] = bp
 	}
 	return pl, nil
-}
-
-// PlaceBlock places one scheduled block with the greedy virtual-topology
-// binder — the per-block entry point of the parallel backend (PlaceCtx is
-// this for every block). Binding consults only the block's own schedule and
-// the shared read-only topology, so blocks place independently (§6.3.4).
-func PlaceBlock(bs *sched.BlockSchedule, topo *Topology) (*BlockPlacement, error) {
-	bp, err := placeBlock(bs, topo)
-	if err != nil {
-		return nil, fmt.Errorf("place: block %s: %w", bs.Block.Label, err)
-	}
-	return bp, nil
-}
-
-// ctxErr reports the context's cancellation state; a nil context never
-// cancels.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// optTracer unpacks the optional trailing tracer argument of the placement
-// entry points (kept variadic so pre-observability call sites compile
-// unchanged).
-func optTracer(tracer []*obs.Tracer) *obs.Tracer {
-	if len(tracer) > 0 {
-		return tracer[0]
-	}
-	return nil
-}
-
-// blockSpan opens the per-block placement span shared by the strategies.
-func blockSpan(tr *obs.Tracer, id int, label string, bs *sched.BlockSchedule, strategy string) *obs.Span {
-	sp := tr.Start("block " + label)
-	sp.SetInt("block", id)
-	sp.SetInt("items", len(bs.Items))
-	sp.SetStr("strategy", strategy)
-	return sp
 }
 
 // binder tracks one resource pool (slots of a kind, or ports of a kind)

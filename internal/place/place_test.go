@@ -143,7 +143,7 @@ func pcrProtocol(bs *lang.BioSystem) {
 
 func TestPlacePCR(t *testing.T) {
 	g, sr, topo := compileFor(t, arch.Default(), pcrProtocol)
-	pl, err := Place(g, sr, topo)
+	pl, err := Place(g, sr, topo, Virtual)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestPlacePCR(t *testing.T) {
 
 func TestPlaceCapabilities(t *testing.T) {
 	g, sr, topo := compileFor(t, arch.Default(), pcrProtocol)
-	pl, err := Place(g, sr, topo)
+	pl, err := Place(g, sr, topo, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPlaceNoDoubleBooking(t *testing.T) {
 		bs.Drain(b, "")
 		bs.Drain(c, "")
 	})
-	pl, err := Place(g, sr, topo)
+	pl, err := Place(g, sr, topo, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPlacePrefersStayingPut(t *testing.T) {
 		bs.StoreFor(a, 60, 10*time.Second)
 		bs.Drain(a, "")
 	})
-	pl, err := Place(g, sr, topo)
+	pl, err := Place(g, sr, topo, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestEntryAndExitLocs(t *testing.T) {
 		bs.EndIf()
 		bs.Drain(a, "")
 	})
-	pl, err := Place(g, sr, topo)
+	pl, err := Place(g, sr, topo, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestDispenseUsesBoundPort(t *testing.T) {
 		bs.MeasureFluid(f, a)
 		bs.Drain(a, "")
 	})
-	pl, err := Place(g, sr, topo)
+	pl, err := Place(g, sr, topo, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestNamedOutputPort(t *testing.T) {
 		bs.MeasureFluid(f, a)
 		bs.Drain(a, "outE3")
 	})
-	pl, err := Place(g, sr, topo)
+	pl, err := Place(g, sr, topo, Virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPlaceErrorsWithoutSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Place(g, &sched.Result{Blocks: map[int]*sched.BlockSchedule{}}, topo)
+	_, err = Place(g, &sched.Result{Blocks: map[int]*sched.BlockSchedule{}}, topo, Virtual)
 	if err == nil || !strings.Contains(err.Error(), "no schedule") {
 		t.Errorf("want missing-schedule error, got %v", err)
 	}

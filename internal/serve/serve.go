@@ -782,10 +782,10 @@ func canonicalOptions(opt CompileOptions) string {
 	return b.String()
 }
 
-// normalizeWorkers collapses every serial-equivalent Workers value to 0,
-// so requests differing only in a no-op worker count share a cache entry.
-// Values above 1 keep their identity in the key even though the parallel
-// backend's output is byte-identical: the key stays a pure function of the
+// normalizeWorkers collapses every one-worker Workers value to 0, so
+// requests differing only in a no-op worker count share a cache entry.
+// Values above 1 keep their identity in the key even though the output is
+// byte-identical at every count: the key stays a pure function of the
 // request, never of a compiler equivalence claim.
 func normalizeWorkers(w int) int {
 	if w < 2 {

@@ -33,9 +33,9 @@ type CompileOptions struct {
 	FoldEdges            bool `json:"foldEdges,omitempty"`
 	// Faults lists known-defective electrodes to compile around.
 	Faults []Point `json:"faults,omitempty"`
-	// Workers requests parallel block synthesis for this compile
-	// (biocoder.Options.Workers); values below 2 keep the serial
-	// pipeline. Output is byte-identical either way.
+	// Workers sets how many goroutines synthesize this compile's blocks
+	// and edges (biocoder.Options.Workers); values below 2 use one. Output
+	// is byte-identical at every count.
 	Workers int `json:"workers,omitempty"`
 	// NoMemo opts this compile out of the daemon's process-wide
 	// per-block synthesis memo.

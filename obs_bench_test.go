@@ -7,6 +7,7 @@
 package biocoder_test
 
 import (
+	"bytes"
 	"runtime"
 	"sort"
 	"testing"
@@ -184,12 +185,44 @@ func TestNilRegistryZeroAlloc(t *testing.T) {
 }
 
 // TestNilRegistryCompileZeroOverhead pins that a compile without a registry
-// never touches the registry plumbing: the phase observer is a no-op
-// closure and the whole-compile accounting is skipped entirely.
+// never touches the registry plumbing: phases record no samples and the
+// whole-compile accounting is skipped entirely.
 func TestNilRegistryCompileZeroOverhead(t *testing.T) {
 	bs := assays.PCRReplenish().Build()
 	if _, err := biocoder.Compile(bs, biocoder.Options{Registry: nil}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompilePhaseMetrics checks that every compile, memoized or not,
+// records biocoder_compile_phase_seconds under the phase names of the
+// trace, and nothing for the per-block stages, which the blocks phase
+// already covers.
+func TestCompilePhaseMetrics(t *testing.T) {
+	for _, memo := range []*biocoder.Memo{nil, biocoder.NewMemo()} {
+		reg := biocoder.NewRegistry()
+		opt := biocoder.Options{Registry: reg, Memo: memo, FoldEdges: true}
+		if _, err := biocoder.Compile(assays.ByName("PCR").Build(), opt); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteExposition(&buf); err != nil {
+			t.Fatal(err)
+		}
+		e, err := obs.ParseExposition(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []string{"ssi", "topology", "blocks", "edges", "fold", "check"} {
+			if v, ok := e.Value("biocoder_compile_phase_seconds_count", obs.L("phase", phase)); !ok || v != 1 {
+				t.Errorf("memo=%t: phase %s has %v sample(s) (present %t), want 1", memo != nil, phase, v, ok)
+			}
+		}
+		for _, stage := range []string{"schedule", "place", "codegen"} {
+			if _, ok := e.Value("biocoder_compile_phase_seconds_count", obs.L("phase", stage)); ok {
+				t.Errorf("memo=%t: per-block stage %s recorded as a compile phase", memo != nil, stage)
+			}
+		}
 	}
 }
 
