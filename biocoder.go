@@ -237,9 +237,9 @@ type (
 	MemoStats = depgraph.Stats
 )
 
-// NewMemo returns an empty per-block synthesis cache with the default
-// entry bound, for Options.Memo.
-func NewMemo() *Memo { return depgraph.NewMemo() }
+// NewMemo returns an empty, memory-only per-block synthesis cache for
+// Options.Memo.
+func NewMemo() *Memo { return depgraph.NewMemo(nil) }
 
 // Observability re-exports: phase tracing and runtime telemetry live in
 // internal/obs; these aliases expose what external tooling needs.

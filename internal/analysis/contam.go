@@ -20,6 +20,7 @@ package analysis
 // BF320 warning, and feasible wash insertions are suggested as BF321 infos.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -240,22 +241,30 @@ func findHazards(nodes map[string]*seqNode, reagents map[ir.FluidID]map[string]b
 		}
 	}
 
-	var hazards []Hazard
-	for _, agg := range pairs {
-		h := agg.first
-		h.Cells = len(agg.cells)
-		hazards = append(hazards, h)
+	// Hazards sort by scope, then by the droplets' printed names (string
+	// order, not FluidID.Compare: "s.10" sorts before "s.2"), each
+	// formatted once rather than on every comparison.
+	type keyed struct {
+		h               *Hazard
+		carrier, victim string
 	}
-	sort.Slice(hazards, func(i, j int) bool {
-		a, b := hazards[i], hazards[j]
-		if a.CarrierScope != b.CarrierScope {
-			return a.CarrierScope < b.CarrierScope
-		}
-		if a.Carrier != b.Carrier {
-			return a.Carrier.String() < b.Carrier.String()
-		}
-		return a.Victim.String() < b.Victim.String()
+	keys := make([]keyed, 0, len(pairs))
+	for _, agg := range pairs {
+		h := &agg.first
+		h.Cells = len(agg.cells)
+		keys = append(keys, keyed{h, h.Carrier.String(), h.Victim.String()})
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		return cmp.Or(strings.Compare(a.h.CarrierScope, b.h.CarrierScope),
+			strings.Compare(a.carrier, b.carrier), strings.Compare(a.victim, b.victim))
 	})
+	var hazards []Hazard // nil when there are none
+	if len(keys) > 0 {
+		hazards = make([]Hazard, len(keys))
+	}
+	for i, k := range keys {
+		hazards[i] = *k.h
+	}
 	return hazards, carrierCells
 }
 

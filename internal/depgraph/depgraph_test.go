@@ -4,6 +4,7 @@ package depgraph
 // invariance, hash sensitivity, and the memo's soundness guards.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -197,7 +198,7 @@ func TestMemoTranslatesRenamedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMemo()
+	m := NewMemo(nil)
 	bs, bp, bc := fakeArtifacts(b, lo)
 	m.Store(fp, b, lo, bs, bp, bc)
 
@@ -256,7 +257,7 @@ func TestMemoRejectsIDOrderViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMemo()
+	m := NewMemo(nil)
 	bs, bp, bc := fakeArtifacts(b, lo)
 	m.Store(fp, b, lo, bs, bp, bc)
 
@@ -280,8 +281,10 @@ func TestMemoRejectsIDOrderViolation(t *testing.T) {
 	}
 }
 
+// The memo keeps the memoBound most recently used blocks: past the bound
+// it drops the least recently used one, not the oldest.
 func TestMemoEviction(t *testing.T) {
-	m := NewMemoSize(2)
+	m := NewMemo(nil)
 	b, lo := testBlock()
 	bs, bp, bc := fakeArtifacts(b, lo)
 	k := testKey(t)
@@ -289,17 +292,24 @@ func TestMemoEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Store("fp-a", b, lo, bs, bp, bc)
-	m.Store("fp-b", b, lo, bs, bp, bc)
-	m.Store(fp, b, lo, bs, bp, bc) // evicts fp-a
-	if s := m.Stats(); s.Entries != 2 {
-		t.Fatalf("FIFO cap not enforced: %+v", s)
+	m.Store(fp, b, lo, bs, bp, bc) // the oldest entry
+	for i := 1; i < memoBound; i++ {
+		m.Store(fmt.Sprintf("fp-%d", i), b, lo, bs, bp, bc)
 	}
-	if _, _, _, ok := m.Lookup("fp-a", b, lo); ok {
-		t.Error("evicted entry still served")
+	if _, _, _, ok := m.Lookup(fp, b, lo); !ok { // now the most recently used
+		t.Fatal("entry under the bound not served")
 	}
-	if _, _, _, ok := m.Lookup(fp, b, lo); !ok {
-		t.Error("newest entry not served")
+	m.Store("fp-new", b, lo, bs, bp, bc) // evicts fp-1
+	if s := m.Stats(); s.Entries != memoBound {
+		t.Fatalf("bound not enforced: %+v", s)
+	}
+	if _, _, _, ok := m.Lookup("fp-1", b, lo); ok {
+		t.Error("least recently used entry still served")
+	}
+	for _, key := range []string{fp, "fp-2", "fp-new"} {
+		if _, _, _, ok := m.Lookup(key, b, lo); !ok {
+			t.Errorf("entry %s evicted out of LRU order", key)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package depgraph
 
-import "biocoder/internal/codegen"
+import (
+	"biocoder/internal/codegen"
+	"biocoder/internal/store"
+)
 
 // SetTestDestabilize toggles the deliberate canonicalization breaker used
 // to prove the BF603 self-check can fire. Test-only.
@@ -16,10 +19,8 @@ func EncodeMemoEntry(e *MemoEntry) ([]byte, error)    { return encodeMemoEntry(e
 // Seq returns the entry's stored sequence.
 func (e *memoEntry) Seq() *codegen.Sequence { return e.seq }
 
-// DiskLookup reports whether a fresh memo answers key from a persister
-// holding blob under it.
-func DiskLookup(key string, blob []byte) bool {
-	p := newMapPersister()
-	p.m[key] = blob
-	return NewMemo().diskLookup(p, key) != nil
+// DiskLookup reports whether a fresh memo over disk answers key from it.
+func DiskLookup(disk *store.Store, key string) bool {
+	_, tier := NewMemo(disk).cache.Get(nil, key)
+	return tier == store.Disk
 }

@@ -3,7 +3,6 @@ package depgraph
 import (
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"biocoder/internal/arch"
@@ -12,6 +11,7 @@ import (
 	"biocoder/internal/ir"
 	"biocoder/internal/place"
 	"biocoder/internal/sched"
+	"biocoder/internal/store"
 )
 
 // Memo is the content-addressed per-block synthesis cache: schedule,
@@ -42,34 +42,28 @@ import (
 // holds against the whole bundled corpus. Artifacts are deep-copied on
 // store and translated into fresh copies on every hit, so callers
 // (notably FoldNonCriticalEdges) may mutate what they receive.
+//
+// The entries live in a store.Cache: the memoBound most recently used in
+// memory, over an optional disk store that every Store writes through to
+// and that an in-memory miss reads before re-synthesizing (memo_disk.go).
 type Memo struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*memoEntry
-	order   []string  // FIFO eviction order
-	persist Persister // optional disk layer (see memo_disk.go); nil = memory-only
+	cache *store.Cache[*memoEntry]
 
 	hits     atomic.Int64
 	misses   atomic.Int64
 	rejected atomic.Int64
-	diskHits atomic.Int64
 }
 
-// DefaultMemoEntries bounds a NewMemo cache; at a few kilobytes per
-// compiled block this keeps a long-lived daemon's memo in the tens of
+// memoBound bounds the entries a memo keeps in memory; at a few kilobytes
+// per compiled block this keeps a long-lived daemon's memo in the tens of
 // megabytes.
-const DefaultMemoEntries = 4096
+const memoBound = 4096
 
-// NewMemo returns an empty memo with the default entry bound.
-func NewMemo() *Memo { return NewMemoSize(DefaultMemoEntries) }
-
-// NewMemoSize returns an empty memo evicting FIFO beyond max entries
-// (max <= 0 selects the default).
-func NewMemoSize(max int) *Memo {
-	if max <= 0 {
-		max = DefaultMemoEntries
-	}
-	return &Memo{max: max, entries: map[string]*memoEntry{}}
+// NewMemo returns an empty memo over disk (nil keeps it in memory only).
+func NewMemo(disk *store.Store) *Memo {
+	return &Memo{cache: store.NewCache(disk, memoBound,
+		func(*memoEntry) int64 { return 1 }, encodeMemoEntry,
+		func(_ string, blob []byte) (*memoEntry, error) { return decodeMemoEntry(blob) })}
 }
 
 // Stats is a point-in-time snapshot of memo effectiveness. Rejected
@@ -80,8 +74,8 @@ type Stats struct {
 	Misses   int64
 	Rejected int64
 	Entries  int
-	// DiskHits counts in-memory misses answered by the attached
-	// Persister (they are also Hits when the translation guards pass).
+	// DiskHits counts in-memory misses answered by the disk store (they
+	// are also Hits when the translation guards pass).
 	DiskHits int64
 }
 
@@ -90,15 +84,13 @@ func (m *Memo) Stats() Stats {
 	if m == nil {
 		return Stats{}
 	}
-	m.mu.Lock()
-	n := len(m.entries)
-	m.mu.Unlock()
+	cs := m.cache.Stats()
 	return Stats{
 		Hits:     m.hits.Load(),
 		Misses:   m.misses.Load(),
 		Rejected: m.rejected.Load(),
-		Entries:  n,
-		DiskHits: m.diskHits.Load(),
+		Entries:  cs.Entries,
+		DiskHits: cs.DiskHits,
 	}
 }
 
@@ -179,25 +171,7 @@ func (m *Memo) Store(fp string, b *cfg.Block, liveOut cfg.Set, bs *sched.BlockSc
 	e.seq, _ = translateSequence(bc.Seq, nil, nil)
 	e.entry = copyPositions(bc.Entry)
 	e.exit = copyPositions(bc.Exit)
-
-	m.mu.Lock()
-	if _, dup := m.entries[fp]; dup {
-		m.mu.Unlock()
-		return
-	}
-	for len(m.entries) >= m.max && len(m.order) > 0 {
-		delete(m.entries, m.order[0])
-		m.order = m.order[1:]
-	}
-	m.entries[fp] = e
-	m.order = append(m.order, fp)
-	persist := m.persist
-	m.mu.Unlock()
-	if persist != nil {
-		// Write-through after releasing the lock: entries are immutable
-		// once stored, so the encoder reads race-free.
-		m.persistEntry(persist, fp, e)
-	}
+	m.cache.Put(fp, e)
 }
 
 // Lookup returns the stored synthesis of a block fingerprint-equal to b,
@@ -208,14 +182,8 @@ func (m *Memo) Lookup(fp string, b *cfg.Block, liveOut cfg.Set) (*sched.BlockSch
 	if m == nil {
 		return nil, nil, nil, false
 	}
-	m.mu.Lock()
-	e := m.entries[fp]
-	persist := m.persist
-	m.mu.Unlock()
-	if e == nil && persist != nil {
-		e = m.diskLookup(persist, fp)
-	}
-	if e == nil {
+	e, tier := m.cache.Get(nil, fp)
+	if tier == store.Miss {
 		m.misses.Add(1)
 		return nil, nil, nil, false
 	}

@@ -1,14 +1,13 @@
 package depgraph
 
-// Persistence layer of the block memo: entries are mirrored to a Persister
-// (in production, internal/store) as they are stored, and an in-memory
-// miss falls back to the disk copy before re-synthesizing. Fingerprints
-// embed chip, options, and biocoder.Version, so a disk entry can never be
-// translated onto a block it wasn't synthesized for — a compiler upgrade
-// or option change simply misses. The gob wire format is guarded by its
-// own tag (memoWireTag): a format change degrades old entries to misses,
-// and the Persister's integrity checking (SHA-256 in internal/store)
-// catches bit rot before gob ever sees it.
+// Disk format of the block memo's entries, which its store.Cache writes
+// through to an internal/store directory and reads back after an
+// in-memory miss. Fingerprints embed chip, options, and biocoder.Version,
+// so a disk entry can never be translated onto a block it wasn't
+// synthesized for — a compiler upgrade or option change simply misses.
+// The gob wire format is guarded by its own tag (memoWireTag): the store's
+// SHA-256 check catches bit rot before gob ever sees it, and an entry that
+// passes it but does not decode (an older tag, say) is quarantined.
 
 import (
 	"bytes"
@@ -22,32 +21,9 @@ import (
 	"biocoder/internal/place"
 )
 
-// Persister is the optional disk layer behind a Memo. Implementations must
-// be safe for concurrent use and are expected to verify integrity on Get
-// (a corrupt entry must come back as a miss, not as wrong bytes).
-type Persister interface {
-	// Get returns the blob stored under key, or ok=false.
-	Get(key string) ([]byte, bool)
-	// Put stores blob under key; errors are the persister's to count.
-	Put(key string, blob []byte) error
-}
-
 // memoWireTag versions the gob wire format of persisted memo entries.
 // Bump on any change to the wire structs below.
 const memoWireTag = "bfmemo2"
-
-// SetPersist attaches a disk layer: subsequent Stores are written through
-// and subsequent in-memory Lookup misses consult it before giving up.
-// Attach before serving traffic; the memo does not replay existing
-// in-memory entries to a late-attached persister.
-func (m *Memo) SetPersist(p Persister) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.persist = p
-	m.mu.Unlock()
-}
 
 // Wire mirrors of the unexported memo structs, exported for encoding/gob.
 type memoWire struct {
@@ -159,43 +135,4 @@ func decodeMemoEntry(blob []byte) (*memoEntry, error) {
 	}
 	e.seq = seq
 	return e, nil
-}
-
-// persistEntry mirrors a just-stored entry to the disk layer (best-effort:
-// a write failure costs future warm starts, never correctness).
-func (m *Memo) persistEntry(p Persister, fp string, e *memoEntry) {
-	blob, err := encodeMemoEntry(e)
-	if err != nil {
-		return
-	}
-	p.Put(fp, blob)
-}
-
-// diskLookup consults the persister after an in-memory miss. A decoded
-// entry is promoted into the in-memory map (under the entry bound) so the
-// disk is touched once per fingerprint per process lifetime.
-func (m *Memo) diskLookup(p Persister, fp string) *memoEntry {
-	blob, ok := p.Get(fp)
-	if !ok {
-		return nil
-	}
-	e, err := decodeMemoEntry(blob)
-	if err != nil {
-		return nil
-	}
-	m.diskHits.Add(1)
-	m.mu.Lock()
-	if prev, dup := m.entries[fp]; dup {
-		// A concurrent compile promoted or re-stored it first.
-		m.mu.Unlock()
-		return prev
-	}
-	for len(m.entries) >= m.max && len(m.order) > 0 {
-		delete(m.entries, m.order[0])
-		m.order = m.order[1:]
-	}
-	m.entries[fp] = e
-	m.order = append(m.order, fp)
-	m.mu.Unlock()
-	return e
 }

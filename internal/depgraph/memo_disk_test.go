@@ -1,37 +1,23 @@
 package depgraph
 
-// White-box tests of the memo's disk layer: write-through on Store,
-// fall-back on in-memory miss, promotion into the in-memory map, and
-// graceful degradation on undecodable blobs.
+// White-box tests of the memo's disk tier over a real store: write-through
+// on Store, fall-back on in-memory miss, promotion into memory, and
+// quarantine of undecodable entries.
 
 import (
 	"reflect"
-	"sync"
 	"testing"
+
+	"biocoder/internal/store"
 )
 
-// mapPersister is an in-memory Persister for tests.
-type mapPersister struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	gets int
-}
-
-func newMapPersister() *mapPersister { return &mapPersister{m: map[string][]byte{}} }
-
-func (p *mapPersister) Get(key string) ([]byte, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.gets++
-	blob, ok := p.m[key]
-	return blob, ok
-}
-
-func (p *mapPersister) Put(key string, blob []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.m[key] = append([]byte(nil), blob...)
-	return nil
+func openStore(t *testing.T) *store.Store {
+	t.Helper()
+	disk, err := store.Open(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disk
 }
 
 func TestMemoPersistRoundTrip(t *testing.T) {
@@ -41,20 +27,19 @@ func TestMemoPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newMapPersister()
+	disk := openStore(t)
 
-	warm := NewMemo()
-	warm.SetPersist(p)
+	warm := NewMemo(disk)
 	bs, bp, bc := fakeArtifacts(b, lo)
 	warm.Store(fp, b, lo, bs, bp, bc)
-	if len(p.m) != 1 {
-		t.Fatalf("Store did not write through: %d blobs", len(p.m))
+	warm.Store(fp, b, lo, bs, bp, bc) // resident: kept, not written again
+	if st := disk.Stats(); st.Writes != 1 {
+		t.Fatalf("disk writes = %d, want 1 (write-through on the first Store only)", st.Writes)
 	}
 
 	// A fresh memo (simulating a restarted daemon) must answer from disk,
 	// including for an order-preserving renaming of the block.
-	cold := NewMemo()
-	cold.SetPersist(p)
+	cold := NewMemo(disk)
 	rb, rlo := renameBlock(b, lo, func(v int) int { return v + 7 }, 30, false)
 	rfp, err := Fingerprint(k, rb, rlo)
 	if err != nil {
@@ -94,28 +79,27 @@ func TestMemoPersistRoundTrip(t *testing.T) {
 	}
 
 	// The decoded entry must be promoted: a second lookup stays in memory.
-	gets := p.gets
+	reads := func() int64 { st := disk.Stats(); return st.Hits + st.Misses }
+	before := reads()
 	if _, _, _, ok := cold.Lookup(rfp, rb, rlo); !ok {
 		t.Fatal("second cold lookup missed")
 	}
-	if p.gets != gets {
-		t.Errorf("second lookup went back to disk (%d extra gets)", p.gets-gets)
+	if n := reads() - before; n != 0 {
+		t.Errorf("second lookup went back to disk (%d extra reads)", n)
 	}
 }
 
 func TestMemoPersistEncodeDecodeIdentity(t *testing.T) {
 	b, lo := testBlock()
 	bs, bp, bc := fakeArtifacts(b, lo)
-	m := NewMemo()
+	m := NewMemo(nil)
 	k := testKey(t)
 	fp, err := Fingerprint(k, b, lo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Store(fp, b, lo, bs, bp, bc)
-	m.mu.Lock()
-	e := m.entries[fp]
-	m.mu.Unlock()
+	e, _ := m.cache.Get(nil, fp)
 
 	blob, err := encodeMemoEntry(e)
 	if err != nil {
@@ -148,32 +132,42 @@ func TestMemoPersistRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newMapPersister()
-	p.m[fp] = []byte("not a gob stream")
+	disk := openStore(t)
+	if err := disk.Put(fp, []byte("not a gob stream")); err != nil {
+		t.Fatal(err)
+	}
 
-	m := NewMemo()
-	m.SetPersist(p)
+	m := NewMemo(disk)
 	if _, _, _, ok := m.Lookup(fp, b, lo); ok {
 		t.Fatal("garbage blob produced a hit")
 	}
 	if st := m.Stats(); st.DiskHits != 0 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want miss without disk hit", st)
 	}
-	// A valid store under the same fingerprint must recover.
+	// Intact but undecodable: counted corrupt and moved out of the way.
+	if st := disk.Stats(); st.Corrupt != 1 || st.Quarantined != 1 {
+		t.Fatalf("store stats = %+v, want 1 corrupt / 1 quarantined", st)
+	}
+	// A valid store under the same fingerprint must recover, on disk too.
 	bs, bp, bc := fakeArtifacts(b, lo)
 	m.Store(fp, b, lo, bs, bp, bc)
 	if _, _, _, ok := m.Lookup(fp, b, lo); !ok {
 		t.Fatal("store after garbage blob did not recover")
 	}
+	if _, _, _, ok := NewMemo(disk).Lookup(fp, b, lo); !ok {
+		t.Fatal("store after garbage blob did not reach the disk")
+	}
 }
 
 func TestMemoPersistNilSafe(t *testing.T) {
 	var m *Memo
-	m.SetPersist(newMapPersister()) // must not panic
 	b, lo := testBlock()
 	bs, bp, bc := fakeArtifacts(b, lo)
-	m.Store("fp", b, lo, bs, bp, bc)
+	m.Store("fp", b, lo, bs, bp, bc) // must not panic
 	if _, _, _, ok := m.Lookup("fp", b, lo); ok {
 		t.Fatal("nil memo hit")
+	}
+	if st := m.Stats(); st != (Stats{}) {
+		t.Fatalf("nil memo stats = %+v", st)
 	}
 }

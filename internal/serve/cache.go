@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
+	"bytes"
+	"encoding/gob"
+	"fmt"
 )
 
 // entry is one cached compile: the canonical JSON response body served to
@@ -18,70 +19,34 @@ type entry struct {
 
 func (e *entry) size() int64 { return int64(len(e.body) + len(e.exe)) }
 
-// lruCache is a byte-budgeted, content-addressed LRU. Keys are content
-// hashes (see cacheKey), so a hit is by construction the same compilation
-// the backend would have produced — staleness is impossible as long as the
-// key covers every compile input plus the compiler version.
-type lruCache struct {
-	mu      sync.Mutex
-	budget  int64 // max total size() across entries; <=0 disables caching
-	bytes   int64
-	evicted int64
-	ll      *list.List // front = most recently used; values are *entry
-	entries map[string]*list.Element
+// cacheFormatTag versions the on-disk cache-entry encoding (inside
+// internal/store's integrity envelope). Bump on any change to diskEntry.
+const cacheFormatTag = "bfdcache1"
+
+// diskEntry is the persisted form of one compile-cache entry.
+type diskEntry struct {
+	Tag  string
+	Key  string
+	Body []byte
+	Exe  []byte
 }
 
-func newLRUCache(budgetBytes int64) *lruCache {
-	return &lruCache{
-		budget:  budgetBytes,
-		ll:      list.New(),
-		entries: map[string]*list.Element{},
+func encodeDiskEntry(e *entry) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&diskEntry{Tag: cacheFormatTag, Key: e.key, Body: e.body, Exe: e.exe})
+	if err != nil {
+		return nil, err
 	}
+	return buf.Bytes(), nil
 }
 
-// get returns the entry for key, refreshing its recency.
-func (c *lruCache) get(key string) (*entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
+func decodeDiskEntry(key string, blob []byte) (*entry, error) {
+	var d diskEntry
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&d); err != nil {
+		return nil, err
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry), true
-}
-
-// put inserts e, evicting least-recently-used entries until the budget
-// holds. An entry larger than the whole budget is not cached at all.
-func (c *lruCache) put(e *entry) {
-	if c.budget <= 0 || e.size() > c.budget {
-		return
+	if d.Tag != cacheFormatTag || d.Key != key {
+		return nil, fmt.Errorf("disk entry tag/key mismatch")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
-		// Same content hash means same bytes; just refresh recency.
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[e.key] = c.ll.PushFront(e)
-	c.bytes += e.size()
-	for c.bytes > c.budget {
-		el := c.ll.Back()
-		if el == nil {
-			break
-		}
-		old := el.Value.(*entry)
-		c.ll.Remove(el)
-		delete(c.entries, old.key)
-		c.bytes -= old.size()
-		c.evicted++
-	}
-}
-
-// stats reports entry count, resident bytes, and lifetime evictions.
-func (c *lruCache) stats() (entries int, bytes, evicted int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries), c.bytes, c.evicted
+	return &entry{key: key, body: d.Body, exe: d.Exe}, nil
 }

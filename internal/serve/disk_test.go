@@ -42,7 +42,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	if got := resp1.Header.Get("X-Bfd-Cache"); got != "miss" {
 		t.Fatalf("first compile disposition = %q, want miss", got)
 	}
-	if st := s1.disk.Stats(); st.Writes != 1 {
+	if st := s1.cfg.CacheStore.Stats(); st.Writes != 1 {
 		t.Fatalf("disk writes = %d, want 1", st.Writes)
 	}
 
@@ -78,6 +78,37 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 	if snap.DiskHits != 1 || snap.DiskCorrupt != 0 {
 		t.Fatalf("stats diskHits=%d diskCorrupt=%d, want 1/0", snap.DiskHits, snap.DiskCorrupt)
+	}
+}
+
+// A traced request served from disk shows the LRU lookup and, inside it,
+// the disk lookup, which the benchmark charges to the store layer.
+func TestDiskLookupTraced(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Config{CacheStore: mustOpenStore(t, dir)})
+	postJSON(t, ts1.URL+"/v1/compile", compileBody(testAssay))
+
+	_, ts2 := newTestServer(t, Config{CacheStore: mustOpenStore(t, dir)})
+	resp, body := postJSON(t, ts2.URL+"/v1/compile?trace=1", compileBody(testAssay))
+	if got := resp.Header.Get("X-Bfd-Cache"); got != "disk" {
+		t.Fatalf("disposition = %q, want disk", got)
+	}
+	var traced struct {
+		Trace struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		} `json:"trace"`
+	}
+	if err := json.Unmarshal(body, &traced); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, ev := range traced.Trace.TraceEvents {
+		seen[ev.Name] = true
+	}
+	if !seen["cache.lookup"] || !seen["disk.lookup"] {
+		t.Fatalf("trace spans %v lack cache.lookup or disk.lookup", seen)
 	}
 }
 
@@ -288,6 +319,43 @@ func TestDiskCorruptEntryFallsBackToCompile(t *testing.T) {
 	}
 	if snap.DiskCorrupt == 0 {
 		t.Fatalf("diskCorrupt = 0 after tampering: %s", sbody)
+	}
+}
+
+// An intact store entry whose payload is not a response entry (a format
+// revision this build does not read) is a miss, counted corrupt and
+// quarantined, and the recompile takes its place on disk.
+func TestDiskUndecodableEntryQuarantined(t *testing.T) {
+	disk := mustOpenStore(t, t.TempDir())
+	key, err := CacheKey(&CompileRequest{Assay: testAssay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Put(key, []byte("not a gob stream")); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{CacheStore: disk})
+	resp, body := postJSON(t, ts.URL+"/v1/compile", compileBody(testAssay))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Bfd-Cache"); got != "miss" {
+		t.Fatalf("disposition = %q, want miss", got)
+	}
+	_, sbody := getJSON(t, ts.URL+"/v1/stats")
+	var snap StatsSnapshot
+	if err := json.Unmarshal(sbody, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.DiskCorrupt != 1 || snap.DiskHits != 0 {
+		t.Fatalf("stats diskCorrupt=%d diskHits=%d, want 1/0", snap.DiskCorrupt, snap.DiskHits)
+	}
+	if st := disk.Stats(); st.Quarantined != 1 || st.Writes != 2 {
+		t.Fatalf("store stats = %+v, want 1 quarantined and the recompile written", st)
+	}
+	_, ts2 := newTestServer(t, Config{CacheStore: disk})
+	if resp, _ := postJSON(t, ts2.URL+"/v1/compile", compileBody(testAssay)); resp.Header.Get("X-Bfd-Cache") != "disk" {
+		t.Fatalf("restarted disposition = %q, want disk", resp.Header.Get("X-Bfd-Cache"))
 	}
 }
 

@@ -21,7 +21,8 @@
 // request's trace root span and on the structured request log line (when
 // Config.Logger is set), so one ID correlates log ↔ span tree ↔ metrics.
 //
-// Compiles are cached in a content-addressed, byte-budgeted LRU keyed by a
+// Compiles are cached in a content-addressed, byte-budgeted LRU (a
+// store.Cache, over the disk store when one is configured) keyed by a
 // hash of the canonical (pre-SSI) IR, the chip configuration, the compile
 // options, and biocoder.Version; concurrent identical requests coalesce
 // onto one backend compile via singleflight, and every requester receives
@@ -40,7 +41,6 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -60,6 +60,7 @@ import (
 	"biocoder/internal/arch"
 	"biocoder/internal/assays"
 	"biocoder/internal/cfg"
+	"biocoder/internal/depgraph"
 	"biocoder/internal/obs"
 	"biocoder/internal/sensor"
 	"biocoder/internal/store"
@@ -111,7 +112,8 @@ type Config struct {
 	// in-memory LRU: an LRU miss consults the disk before compiling
 	// (X-Bfd-Cache: disk), and every fresh compile is written through, so
 	// a restarted daemon answers repeated keys without recompiling. Keys
-	// embed biocoder.Version, so entries can never be served stale.
+	// embed biocoder.Version, so entries can never be served stale; an
+	// entry that no longer decodes is quarantined.
 	CacheStore *store.Store
 	// MemoStore, when non-nil, persists the per-block synthesis memo the
 	// same way (fingerprints are version-keyed too).
@@ -141,9 +143,8 @@ type Server struct {
 	reg     *obs.Registry
 	logger  *slog.Logger
 	stats   Stats
-	cache   *lruCache
-	memo    *biocoder.Memo // process-wide block memo shared by every backend compile
-	disk    *store.Store   // nil-safe persistent layer beneath the LRU
+	cache   *store.Cache[*entry] // compile responses by their bytes, over cfg.CacheStore
+	memo    *biocoder.Memo       // process-wide block memo shared by every backend compile
 	flights flightGroup
 	sem     chan struct{}
 
@@ -169,13 +170,9 @@ func New(cfg Config) *Server {
 		reg:    reg,
 		logger: cfg.Logger,
 		stats:  newStats(reg, time.Now()),
-		cache:  newLRUCache(cfg.CacheBytes),
-		memo:   biocoder.NewMemo(),
-		disk:   cfg.CacheStore,
+		cache:  store.NewCache(cfg.CacheStore, cfg.CacheBytes, (*entry).size, encodeDiskEntry, decodeDiskEntry),
+		memo:   depgraph.NewMemo(cfg.MemoStore),
 		sem:    make(chan struct{}, cfg.Workers),
-	}
-	if cfg.MemoStore != nil {
-		s.memo.SetPersist(cfg.MemoStore)
 	}
 	s.registerDerived()
 	return s
@@ -524,7 +521,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // resolve turns compile inputs into a cache entry: canonicalize, hash,
 // then serve from the LRU, the persistent disk store, an in-flight
 // compile, or lead a new one. The disposition is "hit", "disk",
-// "coalesced", or "miss".
+// "coalesced", or "miss". The store re-verifies a disk payload's SHA-256
+// on read, so a disk-served entry is byte-for-byte what an earlier
+// process compiled (and verify-gated) under the same content key.
 func (s *Server) resolve(ctx context.Context, tr *obs.Tracer, req *CompileRequest) (*entry, string, error) {
 	sp := tr.Start("canonicalize")
 	g, _, chip, key, err := canonicalize(req)
@@ -534,20 +533,21 @@ func (s *Server) resolve(ctx context.Context, tr *obs.Tracer, req *CompileReques
 	}
 
 	sp = tr.Start("cache.lookup")
-	e, ok := s.cache.get(key)
+	e, tier := s.cache.Get(tr, key)
 	sp.End()
-	if ok {
+	switch tier {
+	case store.Memory:
 		s.stats.CacheHits.Add(1)
 		return e, "hit", nil
-	}
-	if e, ok := s.diskLookup(tr, key); ok {
+	case store.Disk:
+		s.stats.DiskHits.Add(1)
 		return e, "disk", nil
 	}
 
 	e, err, shared := s.flights.do(ctx, key, func() (*entry, error) {
 		// A flight that finished between our lookup and this one may
 		// have populated the cache already.
-		if e, ok := s.cache.get(key); ok {
+		if e, tier := s.cache.Get(nil, key); tier != store.Miss {
 			return e, nil
 		}
 		return s.compileEntry(tr, key, g, chip, req.Options)
@@ -558,31 +558,6 @@ func (s *Server) resolve(ctx context.Context, tr *obs.Tracer, req *CompileReques
 	}
 	s.stats.CacheMisses.Add(1)
 	return e, "miss", err
-}
-
-// diskLookup consults the persistent store after an LRU miss and promotes
-// a verified entry back into the LRU. The store re-verifies the payload's
-// SHA-256 on read, so a promoted entry is byte-for-byte what an earlier
-// process compiled (and verify-gated) under the same content key.
-func (s *Server) diskLookup(tr *obs.Tracer, key string) (*entry, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	sp := tr.Start("disk.lookup")
-	defer sp.End()
-	blob, ok := s.disk.Get(key)
-	if !ok {
-		return nil, false
-	}
-	e, err := decodeDiskEntry(key, blob)
-	if err != nil {
-		// Structurally invalid despite an intact hash: written by an
-		// incompatible format revision. Treat as a miss.
-		return nil, false
-	}
-	s.stats.DiskHits.Add(1)
-	s.cache.put(e)
-	return e, true
 }
 
 // compileEntry is the backend compile: it runs under a server-scoped
@@ -654,48 +629,8 @@ func (s *Server) compileEntry(tr *obs.Tracer, key string, g *cfg.Graph, chip *ar
 		return nil, err
 	}
 	e := &entry{key: key, body: body, exe: exeBuf.Bytes()}
-	s.cache.put(e)
-	if s.disk != nil {
-		if blob, err := encodeDiskEntry(e); err == nil {
-			// Best-effort write-through: a failed write costs the next
-			// process a recompile, never a wrong answer (the store counts
-			// its own write errors for /metrics).
-			s.disk.Put(key, blob)
-		}
-	}
+	s.cache.Put(key, e)
 	return e, nil
-}
-
-// cacheFormatTag versions the on-disk cache-entry encoding (inside
-// internal/store's integrity envelope). Bump on any change to diskEntry.
-const cacheFormatTag = "bfdcache1"
-
-// diskEntry is the persisted form of one compile-cache entry.
-type diskEntry struct {
-	Tag  string
-	Key  string
-	Body []byte
-	Exe  []byte
-}
-
-func encodeDiskEntry(e *entry) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&diskEntry{Tag: cacheFormatTag, Key: e.key, Body: e.body, Exe: e.exe})
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeDiskEntry(key string, blob []byte) (*entry, error) {
-	var d diskEntry
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&d); err != nil {
-		return nil, err
-	}
-	if d.Tag != cacheFormatTag || d.Key != key {
-		return nil, fmt.Errorf("disk entry tag/key mismatch")
-	}
-	return &entry{key: key, body: d.Body, exe: d.Exe}, nil
 }
 
 // CacheKey computes the content-addressed compile cache key for req: a

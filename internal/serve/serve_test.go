@@ -564,41 +564,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(100)
-	mk := func(key string, n int) *entry {
-		return &entry{key: key, body: bytes.Repeat([]byte("b"), n)}
-	}
-	c.put(mk("a", 40))
-	c.put(mk("b", 40))
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted under budget")
-	}
-	// "a" is now most recent; inserting "c" must evict "b".
-	c.put(mk("c", 40))
-	if _, ok := c.get("b"); ok {
-		t.Error("b not evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a (recently used) evicted")
-	}
-	entries, size, evicted := c.stats()
-	if entries != 2 || size != 80 || evicted != 1 {
-		t.Errorf("stats = (%d, %d, %d), want (2, 80, 1)", entries, size, evicted)
-	}
-	// Oversized entries are refused outright.
-	c.put(mk("huge", 200))
-	if _, ok := c.get("huge"); ok {
-		t.Error("oversized entry was cached")
-	}
-	// A disabled cache accepts nothing.
-	off := newLRUCache(-1)
-	off.put(mk("x", 1))
-	if _, ok := off.get("x"); ok {
-		t.Error("disabled cache stored an entry")
-	}
-}
-
 func TestPanicRecovery(t *testing.T) {
 	s := New(Config{})
 	s.testCompileStarted = func(string) { panic("boom") }

@@ -74,24 +74,24 @@ func (s *Server) registerDerived() {
 	reg.GaugeFunc("bfd_block_memo_entries", "Blocks currently memoized.",
 		func() float64 { return float64(s.memo.Stats().Entries) })
 	reg.GaugeFunc("bfd_cache_entries", "Compile responses in the LRU.",
-		func() float64 { entries, _, _ := s.cache.stats(); return float64(entries) })
+		func() float64 { return float64(s.cache.Stats().Entries) })
 	reg.GaugeFunc("bfd_cache_bytes", "Bytes held by the compile-response LRU.",
-		func() float64 { _, bytes, _ := s.cache.stats(); return float64(bytes) })
+		func() float64 { return float64(s.cache.Stats().Bytes) })
 	reg.CounterFunc("bfd_cache_evictions_total", "Compile responses evicted from the LRU.",
-		func() int64 { _, _, evicted := s.cache.stats(); return evicted })
+		func() int64 { return s.cache.Stats().Evicted })
 	reg.GaugeFunc("bfd_cache_budget_bytes", "Byte budget of the compile-response LRU.",
 		func() float64 { return float64(s.cfg.CacheBytes) })
-	if s.disk != nil || s.cfg.MemoStore != nil {
+	if s.cfg.CacheStore != nil || s.cfg.MemoStore != nil {
 		// Persistent-store health, summed over the cache and memo stores
-		// (s.disk / MemoStore are nil-safe to snapshot).
-		reg.CounterFunc("bfd_disk_corrupt_total", "Disk-store entries that failed SHA-256 verification.",
-			func() int64 { return s.disk.Stats().Corrupt + s.cfg.MemoStore.Stats().Corrupt })
+		// (both are nil-safe to snapshot).
+		reg.CounterFunc("bfd_disk_corrupt_total", "Disk-store entries that failed SHA-256 verification or did not decode.",
+			func() int64 { return s.cfg.CacheStore.Stats().Corrupt + s.cfg.MemoStore.Stats().Corrupt })
 		reg.CounterFunc("bfd_disk_writes_total", "Entries written through to the disk stores.",
-			func() int64 { return s.disk.Stats().Writes + s.cfg.MemoStore.Stats().Writes })
+			func() int64 { return s.cfg.CacheStore.Stats().Writes + s.cfg.MemoStore.Stats().Writes })
 		reg.CounterFunc("bfd_disk_evictions_total", "Disk-store entries deleted by the byte-budget GC.",
-			func() int64 { return s.disk.Stats().Evicted + s.cfg.MemoStore.Stats().Evicted })
+			func() int64 { return s.cfg.CacheStore.Stats().Evicted + s.cfg.MemoStore.Stats().Evicted })
 		reg.GaugeFunc("bfd_disk_bytes", "Bytes resident across the disk stores.",
-			func() float64 { return float64(s.disk.Stats().Bytes + s.cfg.MemoStore.Stats().Bytes) })
+			func() float64 { return float64(s.cfg.CacheStore.Stats().Bytes + s.cfg.MemoStore.Stats().Bytes) })
 		reg.CounterFunc("bfd_block_memo_disk_hits_total", "Block-memo misses answered by the persistent store.",
 			func() int64 { return s.memo.Stats().DiskHits })
 	}
@@ -118,7 +118,7 @@ type StatsSnapshot struct {
 	// Persistent-store disposition (zero when no -cache-dir/-memo-dir):
 	// DiskHits counts compile responses served from the disk store after
 	// an LRU miss; DiskCorrupt sums entries (cache and memo stores) that
-	// failed SHA-256 verification and were quarantined.
+	// failed SHA-256 verification or did not decode, and were quarantined.
 	DiskHits     int64 `json:"diskHits"`
 	DiskCorrupt  int64 `json:"diskCorrupt"`
 	DiskWrites   int64 `json:"diskWrites"`
@@ -159,13 +159,14 @@ func (s *Server) snapshotStats() StatsSnapshot {
 		Workers:       s.cfg.Workers,
 		Version:       biocoder.Version,
 	}
-	snap.CacheEntries, snap.CacheBytes, snap.CacheEvicted = s.cache.stats()
+	cs := s.cache.Stats()
+	snap.CacheEntries, snap.CacheBytes, snap.CacheEvicted = cs.Entries, cs.Bytes, cs.Evicted
 	ms := s.memo.Stats()
 	snap.MemoHits, snap.MemoMisses, snap.MemoRejected = ms.Hits, ms.Misses, ms.Rejected
 	snap.MemoEntries = ms.Entries
 	snap.MemoDiskHits = ms.DiskHits
 	snap.DiskHits = s.stats.DiskHits.Load()
-	ds, ms2 := s.disk.Stats(), s.cfg.MemoStore.Stats()
+	ds, ms2 := s.cfg.CacheStore.Stats(), s.cfg.MemoStore.Stats()
 	snap.DiskCorrupt = ds.Corrupt + ms2.Corrupt
 	snap.DiskWrites = ds.Writes + ms2.Writes
 	snap.DiskBytes = ds.Bytes + ms2.Bytes

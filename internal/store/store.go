@@ -1,6 +1,7 @@
-// Package store is a content-addressed on-disk artifact store: the
-// persistence layer under bfd's compile-response cache and per-block
-// synthesis memo, so a restarted daemon starts warm instead of cold.
+// Package store is a content-addressed on-disk artifact store, and the
+// two-tier Cache (an LRU in memory over a Store) that bfd's compile
+// responses and the per-block synthesis memo are both instances of, so a
+// restarted daemon starts warm instead of cold.
 //
 // Keys are opaque strings chosen by the caller; both users key on content
 // hashes that already embed biocoder.Version, so a stored artifact can
@@ -14,9 +15,10 @@
 // payload SHA-256) followed by the key and the payload. Writes go to a
 // temp file in the same directory and are renamed into place, so readers
 // — including other processes sharing the directory — never observe a
-// partial entry. Reads re-hash the payload and compare against the header;
-// a mismatch moves the file into quarantine/ (kept for post-mortems, out
-// of the addressable namespace) and reports a miss. A byte budget is
+// partial entry. Reads check the header's lengths against the file size
+// before reading, re-hash the payload and compare against the header; a
+// mismatch moves the file into quarantine/ (kept for post-mortems, out of
+// the addressable namespace) and reports a miss. A byte budget is
 // enforced after writes by deleting the oldest entries (mtime order).
 package store
 
@@ -69,7 +71,7 @@ type Stats struct {
 	Misses      int64 // Get calls with no (valid) entry
 	Writes      int64 // entries durably installed by Put
 	WriteErrors int64 // Put calls that failed (disk full, permissions)
-	Corrupt     int64 // entries that failed header or SHA-256 verification
+	Corrupt     int64 // entries that failed verification or that the caller could not decode
 	Quarantined int64 // corrupt entries successfully moved to quarantine/
 	Evicted     int64 // entries deleted by the byte-budget GC
 	Entries     int64 // entries currently resident
@@ -215,7 +217,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	payload, err := readEntry(f, key)
 	f.Close()
 	if err != nil {
-		s.corrupt.Add(1)
 		s.misses.Add(1)
 		s.quarantine(path)
 		return nil, false
@@ -224,20 +225,41 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
+// Quarantine moves the entry under key into quarantine/ and counts it
+// corrupt: for a payload that passed the SHA-256 check but that the
+// caller cannot decode. Nil-safe.
+func (s *Store) Quarantine(key string) {
+	if s == nil {
+		return
+	}
+	s.quarantine(s.path(key))
+}
+
 // readEntry parses and verifies one entry file against the expected key.
+// Only a header in the exact form Put writes is accepted, and its lengths
+// must add up to the file's size before anything is allocated by them.
 func readEntry(f *os.File, key string) ([]byte, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	br := bufio.NewReader(f)
-	header, err := br.ReadString('\n')
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return nil, fmt.Errorf("store: reading header: %w", err)
 	}
+	header := string(line)
 	var tag, sumHex string
-	var keyLen, payLen int
+	var keyLen, payLen int64
 	if _, err := fmt.Sscanf(strings.TrimSuffix(header, "\n"), "%s %d %d %s", &tag, &keyLen, &payLen, &sumHex); err != nil {
 		return nil, fmt.Errorf("store: bad header: %w", err)
 	}
-	if tag != magic || keyLen < 0 || payLen < 0 {
+	if header != fmt.Sprintf("%s %d %d %s\n", magic, keyLen, payLen, sumHex) {
 		return nil, fmt.Errorf("store: bad header %q", header)
+	}
+	size := info.Size()
+	if keyLen < 0 || payLen < 0 || keyLen > size || payLen > size || int64(len(header))+keyLen+payLen != size {
+		return nil, fmt.Errorf("store: header claims %d key and %d payload bytes in a %d-byte file", keyLen, payLen, size)
 	}
 	storedKey := make([]byte, keyLen)
 	if _, err := io.ReadFull(br, storedKey); err != nil {
@@ -250,10 +272,6 @@ func readEntry(f *os.File, key string) ([]byte, error) {
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, fmt.Errorf("store: reading payload: %w", err)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		// Trailing bytes mean the header lied about the payload length.
-		return nil, fmt.Errorf("store: trailing bytes after payload")
-	}
 	sum := sha256.Sum256(payload)
 	if hex.EncodeToString(sum[:]) != sumHex {
 		return nil, fmt.Errorf("store: payload SHA-256 mismatch")
@@ -261,9 +279,10 @@ func readEntry(f *os.File, key string) ([]byte, error) {
 	return payload, nil
 }
 
-// quarantine moves a defective entry out of the addressable namespace,
-// keeping the bytes for post-mortem inspection.
+// quarantine counts a defective entry and moves it out of the addressable
+// namespace, keeping the bytes for post-mortem inspection.
 func (s *Store) quarantine(path string) {
+	s.corrupt.Add(1)
 	size, _ := fileSize(path)
 	dest := filepath.Join(s.dir, quarantineDir, filepath.Base(path))
 	if err := os.Rename(path, dest); err != nil {

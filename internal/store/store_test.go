@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -228,4 +230,78 @@ func TestNilStoreIsInert(t *testing.T) {
 	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("nil stats = %+v", st)
 	}
+}
+
+// writeEntryFile installs data as the entry file of key, bypassing Put.
+func writeEntryFile(t testing.TB, s *Store, key string, data []byte) string {
+	t.Helper()
+	path := s.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// A header may claim more key or payload bytes than its file holds; the
+// claim is refused before anything is allocated by it.
+func TestOversizedHeaderIsMiss(t *testing.T) {
+	s, err := Open(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeEntryFile(t, s, "k", []byte("bfart1 1073741824 7 00\nkpayload"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := s.Get("k")
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("oversized header served as a hit")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("Get allocated %d bytes for a 31-byte entry", n)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Quarantined != 1 {
+		t.Errorf("stats = %+v, want 1 corrupt / 1 quarantined", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("oversized entry still addressable")
+	}
+}
+
+// FuzzStoreEntry writes arbitrary bytes as the entry file of a key. Get
+// either returns a payload whose canonical entry (header, key, lengths and
+// SHA-256 as Put writes them) is exactly the file, or misses with the file
+// moved out of its path and Corrupt raised by one.
+func FuzzStoreEntry(f *testing.F) {
+	const key = "k"
+	canonical := func(payload []byte) []byte {
+		return fmt.Appendf(nil, "bfart1 %d %d %x\n%s%s", len(key), len(payload), sha256.Sum256(payload), key, payload)
+	}
+	valid := canonical([]byte("payload"))
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add([]byte("bfart1 1073741824 7 00\nkpayload"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Open(t.TempDir(), 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := writeEntryFile(t, s, key, data)
+		got, ok := s.Get(key)
+		if ok {
+			if !bytes.Equal(canonical(got), data) {
+				t.Fatalf("hit %q from an entry that is not its canonical form", got)
+			}
+			return
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatal("defective entry left in place")
+		}
+		if st := s.Stats(); st.Corrupt != 1 {
+			t.Fatalf("stats = %+v, want 1 corrupt", st)
+		}
+	})
 }
