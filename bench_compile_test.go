@@ -104,7 +104,7 @@ func benchFault(b *testing.B) biocoder.Point {
 	prog := benchCompile(b, biocoder.Options{})
 	cells := map[biocoder.Point]bool{}
 	for _, bc := range prog.Executable.Blocks {
-		for _, c := range depgraph.BlockFootprint(bc) {
+		for _, c := range depgraph.BlockFootprint(prog.Chip, bc) {
 			cells[c] = true
 		}
 	}

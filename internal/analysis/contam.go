@@ -29,6 +29,7 @@ import (
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
 	"biocoder/internal/ir"
+	"biocoder/internal/motion"
 	"biocoder/internal/verify"
 	"biocoder/internal/wash"
 )
@@ -75,32 +76,71 @@ type span struct {
 type seqNode struct {
 	scope string
 	succs []*seqNode
-	// spans per touched cell, one per droplet.
-	spans map[arch.Point][]span
-	// cells lists the keys of spans in row-major order.
+	// cells lists the touched cells in row-major order, and spans[i] the
+	// spans on cells[i], one per droplet.
 	cells []arch.Point
+	spans [][]span
 }
 
-// newSeqNode collapses a sequence's touch history to spans.
-func newSeqNode(scope string, touches []verify.Touch) *seqNode {
-	n := &seqNode{scope: scope, spans: map[arch.Point][]span{}}
+// cellIndex is scratch sized to the chip for newSeqNode: a grid that
+// stamps a sequence's touched cells, and their positions in its cell list
+// by row-major cell index.
+type cellIndex struct {
+	grid *motion.Grid
+	at   []int32
+}
+
+func newCellIndex(chip *arch.Chip) *cellIndex {
+	g := motion.NewGrid(chip.Cols, chip.Rows)
+	return &cellIndex{grid: g, at: make([]int32, g.Cells())}
+}
+
+// newSeqNode collapses a sequence's touch history to spans. The touched
+// cells are read off the grid in row-major order; off-chip cells, which
+// only a corrupt executable names, are sorted in.
+func newSeqNode(scope string, touches []verify.Touch, ix *cellIndex) *seqNode {
+	n := &seqNode{scope: scope}
+	g := ix.grid
+	g.Clear()
+	var off []arch.Point
 	for _, t := range touches {
-		ss, seen := n.spans[t.Cell]
-		if !seen {
-			n.cells = append(n.cells, t.Cell)
+		if g.In(t.Cell) {
+			g.Add(t.Cell)
+		} else {
+			off = append(off, t.Cell)
 		}
-		i := 0
-		for i < len(ss) && ss[i].fluid != t.Fluid {
-			i++
+	}
+	for i := range g.Cells() {
+		if p := g.Point(i); g.Has(p) {
+			ix.at[i] = int32(len(n.cells))
+			n.cells = append(n.cells, p)
 		}
-		if i == len(ss) {
-			n.spans[t.Cell] = append(ss, span{fluid: t.Fluid, first: t.Cycle, last: t.Cycle})
+	}
+	if len(off) > 0 {
+		n.cells = append(n.cells, off...)
+		slices.SortFunc(n.cells, arch.Point.Compare)
+		n.cells = slices.Compact(n.cells)
+	}
+	n.spans = make([][]span, len(n.cells))
+	for _, t := range touches {
+		var i int
+		if len(off) == 0 {
+			i = int(ix.at[g.Index(t.Cell)])
+		} else {
+			i, _ = slices.BinarySearchFunc(n.cells, t.Cell, arch.Point.Compare)
+		}
+		ss := n.spans[i]
+		k := 0
+		for k < len(ss) && ss[k].fluid != t.Fluid {
+			k++
+		}
+		if k == len(ss) {
+			n.spans[i] = append(ss, span{fluid: t.Fluid, first: t.Cycle, last: t.Cycle})
 			continue
 		}
-		ss[i].first = min(ss[i].first, t.Cycle)
-		ss[i].last = max(ss[i].last, t.Cycle)
+		ss[k].first = min(ss[k].first, t.Cycle)
+		ss[k].last = max(ss[k].last, t.Cycle)
 	}
-	slices.SortFunc(n.cells, arch.Point.Compare)
 	return n
 }
 
@@ -117,8 +157,9 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 	// Execution-order graph over sequences.
 	nodes := map[string]*seqNode{}
 	blockNode := map[int]*seqNode{}
+	ix := newCellIndex(u.Chip)
 	mk := func(scope string, touches []verify.Touch) *seqNode {
-		n := newSeqNode(scope, touches)
+		n := newSeqNode(scope, touches, ix)
 		nodes[scope] = n
 		return n
 	}
@@ -197,15 +238,23 @@ func findHazards(nodes map[string]*seqNode, reagents map[ir.FluidID]map[string]b
 			if !sameSeq && !reach[s1][s2] {
 				continue
 			}
-			for _, cell := range n1.cells {
+			// Both cell lists are in row-major order: walk them together.
+			for i, j := 0, 0; i < len(n1.cells) && j < len(n2.cells); {
+				cell := n1.cells[i]
+				if d := cell.Compare(n2.cells[j]); d != 0 {
+					if d < 0 {
+						i++
+					} else {
+						j++
+					}
+					continue
+				}
+				carriers, victims := n1.spans[i], n2.spans[j]
+				i, j = i+1, j+1
 				if washed[cell] {
 					continue
 				}
-				victims, ok := n2.spans[cell]
-				if !ok {
-					continue
-				}
-				for _, c := range n1.spans[cell] {
+				for _, c := range carriers {
 					for _, v := range victims {
 						if c.fluid == v.fluid || sameSeq && ordered && c.first >= v.last {
 							continue

@@ -56,7 +56,7 @@ func seq(scope string, as ...arrival) *seqNode {
 	for i, a := range as {
 		ts[i] = verify.Touch{Fluid: ir.FluidID{Name: a.fluid}, Cell: arch.Point{X: a.x, Y: a.y}, Cycle: a.cycle}
 	}
-	return newSeqNode(scope, ts)
+	return newSeqNode(scope, ts, newCellIndex(arch.Default()))
 }
 
 // then chains sequences in execution order.
@@ -188,4 +188,27 @@ func TestContaminationWashedCellSilent(t *testing.T) {
 	wantHazards(t, hazardsOf(nil, nil, b), []Hazard{hz("c", "v", 5, 0, 2, "block b")})
 	wantHazards(t, hazardsOf(nil, []arch.Point{{X: 5, Y: 0}}, b), []Hazard{hz("c", "v", 1, 1, 1, "block b")})
 	wantHazards(t, hazardsOf(nil, []arch.Point{{X: 5, Y: 0}, {X: 1, Y: 1}}, b), nil)
+}
+
+// A sequence's touched cells come out in row-major order with their spans,
+// off-chip cells (only a corrupt executable names them) included.
+func TestSeqNodeCells(t *testing.T) {
+	for _, chip := range []*arch.Chip{arch.Default(), {Cols: 2, Rows: 2}} {
+		n := newSeqNode("block b", []verify.Touch{
+			{Fluid: ir.FluidID{Name: "a"}, Cell: arch.Point{X: 3, Y: 1}, Cycle: 4},
+			{Fluid: ir.FluidID{Name: "b"}, Cell: arch.Point{X: -1, Y: 1}, Cycle: 5},
+			{Fluid: ir.FluidID{Name: "a"}, Cell: arch.Point{X: 1, Y: 0}, Cycle: 6},
+			{Fluid: ir.FluidID{Name: "a"}, Cell: arch.Point{X: 3, Y: 1}, Cycle: 9},
+			{Fluid: ir.FluidID{Name: "b"}, Cell: arch.Point{X: 3, Y: 1}, Cycle: 7},
+		}, newCellIndex(chip))
+		wantCells := []arch.Point{{X: 1, Y: 0}, {X: -1, Y: 1}, {X: 3, Y: 1}}
+		wantSpans := [][]span{
+			{{ir.FluidID{Name: "a"}, 6, 6}},
+			{{ir.FluidID{Name: "b"}, 5, 5}},
+			{{ir.FluidID{Name: "a"}, 4, 9}, {ir.FluidID{Name: "b"}, 7, 7}},
+		}
+		if !reflect.DeepEqual(n.cells, wantCells) || !reflect.DeepEqual(n.spans, wantSpans) {
+			t.Errorf("%dx%d chip: cells %v spans %v, want %v %v", chip.Cols, chip.Rows, n.cells, n.spans, wantCells, wantSpans)
+		}
+	}
 }

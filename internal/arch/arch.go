@@ -195,9 +195,10 @@ func (c *Chip) InBounds(p Point) bool {
 func (c *Chip) Bounds() Rect { return Rect{0, 0, c.Cols, c.Rows} }
 
 // FitsOnChip reports whether r lies entirely on the array: constraints (2)
-// and (3) of the paper.
+// and (3) of the paper. It subtracts rather than adds, so no declared size
+// overflows into a fit.
 func (c *Chip) FitsOnChip(r Rect) bool {
-	return r.X >= 0 && r.Y >= 0 && r.X+r.W <= c.Cols && r.Y+r.H <= c.Rows
+	return r.X >= 0 && r.Y >= 0 && r.W >= 0 && r.H >= 0 && r.W <= c.Cols-r.X && r.H <= c.Rows-r.Y
 }
 
 // DevicesOf returns the devices of kind k in declaration order.
@@ -315,6 +316,9 @@ func (c *Chip) Validate() error {
 			return fmt.Errorf("arch: duplicate resource name %q", d.Name)
 		}
 		names[d.Name] = true
+		if d.Loc.W < 1 || d.Loc.H < 1 {
+			return fmt.Errorf("arch: device %q has no cells (%dx%d)", d.Name, d.Loc.W, d.Loc.H)
+		}
 		if !c.FitsOnChip(d.Loc) {
 			return fmt.Errorf("arch: device %q at %v lies outside the %dx%d array", d.Name, d.Loc, c.Cols, c.Rows)
 		}

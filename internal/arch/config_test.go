@@ -65,6 +65,10 @@ func TestParseConfigErrors(t *testing.T) {
 		{"short sensor", "chip 9 9\ncycle 1ms\nsensor s 1 1"},
 		{"invalid chip", "chip 0 0\ncycle 1ms"},
 		{"device off chip", "chip 4 4\ncycle 1ms\nsensor s 9 9 1 1"},
+		{"device without cells", "chip 10 1\ncycle 1ms\nheater h 0 0 0 0"},
+		{"device of negative width", "chip 9 9\ncycle 1ms\nsensor s 3 3 -2 1"},
+		// 1 + (2^63-1) wraps to a negative right edge.
+		{"overflowing device", "chip 9 9\ncycle 1ms\nsensor s 1 1 9223372036854775807 1"},
 		{"one electrode too many", "chip 257 256\ncycle 1ms"},
 		{"huge chip", "chip 4000 4000\ncycle 1ms\noutput o east 3999 2"},
 		// 2^62 x 4 electrodes wrap to 0 in a 64-bit product.

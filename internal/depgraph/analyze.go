@@ -191,57 +191,53 @@ func relabelAll(fs []ir.FluidID, f func(ir.FluidID) ir.FluidID) []ir.FluidID {
 // BF602 for every cell where the two accounts diverge.
 func checkFootprints(u *verify.Unit, res *Result, report func(string, verify.Pos, string, ...any)) {
 	replayBlocks, _ := verify.ReplayMoves(u)
+	chip := u.Chip
+	if chip == nil {
+		chip = u.Exec.Topo.Chip // as the replay above takes it
+	}
+	claimed, replayed := newCellSet(chip), newCellSet(chip)
 	for _, s := range res.Summaries {
 		bc := u.Exec.Blocks[s.Block]
 		if bc == nil {
 			continue // BF110 territory
 		}
-		claimed := map[arch.Point]bool{}
-		for _, c := range BlockFootprint(bc) {
-			claimed[c] = true
-		}
+		claimed.clear()
+		claimed.addBlock(bc)
 		rep := replayBlocks[s.Block]
 		if rep == nil || !rep.OK {
 			// An aborted replay has no trustworthy footprint to reconcile
 			// against; the BF1xx passes own that failure.
-			s.Footprint = sortedCells(claimed)
+			s.Footprint = claimed.union(nil, nil)
 			continue
 		}
-		replayed := map[arch.Point]bool{}
+		replayed.clear()
 		for _, d := range rep.Start {
-			replayed[d.At] = true
+			replayed.add(d.At)
 		}
 		for _, mv := range rep.Moves {
-			replayed[mv.From] = true
-			replayed[mv.To] = true
+			replayed.add(mv.From)
+			replayed.add(mv.To)
 		}
 		for _, d := range rep.End {
-			replayed[d.At] = true
+			replayed.add(d.At)
 		}
 		if bc.Seq != nil {
 			for _, ev := range bc.Seq.Events {
 				for _, c := range ev.Cells {
-					replayed[c] = true
+					replayed.add(c)
 				}
 			}
 		}
-		pos := verify.Pos{Scope: "block " + s.Label, InstrID: -1, Cycle: -1}
-		union := map[arch.Point]bool{}
-		for c := range claimed {
-			union[c] = true
-			if !replayed[c] {
-				report("BF602", verify.Pos{Scope: pos.Scope, InstrID: -1, Cycle: -1, Cell: c, HasCell: true},
-					"effect summary claims cell %v which the symbolic replay of the block's frames never touches", c)
+		scope := "block " + s.Label
+		s.Footprint = claimed.union(replayed, func(c arch.Point, isClaimed, isReplayed bool) {
+			pos := verify.Pos{Scope: scope, InstrID: -1, Cycle: -1, Cell: c, HasCell: true}
+			if !isReplayed {
+				report("BF602", pos, "effect summary claims cell %v which the symbolic replay of the block's frames never touches", c)
 			}
-		}
-		for c := range replayed {
-			union[c] = true
-			if !claimed[c] {
-				report("BF602", verify.Pos{Scope: pos.Scope, InstrID: -1, Cycle: -1, Cell: c, HasCell: true},
-					"symbolic replay touches cell %v which the block's effect summary does not claim", c)
+			if !isClaimed {
+				report("BF602", pos, "symbolic replay touches cell %v which the block's effect summary does not claim", c)
 			}
-		}
-		s.Footprint = sortedCells(union)
+		})
 	}
 }
 

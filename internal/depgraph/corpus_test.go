@@ -14,6 +14,7 @@ package depgraph_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"biocoder"
@@ -206,54 +207,64 @@ func TestMutationBF601(t *testing.T) {
 }
 
 // TestMutationBF602 corrupts one compiled block's effect claims — a track
-// cell the frames never actuate — and expects the replay reconciliation to
-// flag exactly that divergence.
+// cell the frames never actuate, on the chip and off it — and expects the
+// replay reconciliation to flag exactly that divergence, and the footprint
+// to list the claimed cell in row-major order.
 func TestMutationBF602(t *testing.T) {
-	prog, err := biocoder.Compile(assays.ByName("PCR").Build(), biocoder.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a block with a track and a chip cell outside its footprint.
-	var victim *cfg.Block
-	var spurious biocoder.Point
-	for _, b := range prog.Graph.Blocks {
-		bc := prog.Executable.Blocks[b.ID]
-		if bc == nil || len(bc.Seq.Tracks) == 0 {
-			continue
+	for _, offChip := range []bool{false, true} {
+		prog, err := biocoder.Compile(assays.ByName("PCR").Build(), biocoder.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		cells := map[biocoder.Point]bool{}
-		for _, c := range depgraph.BlockFootprint(bc) {
-			cells[c] = true
-		}
-		for y := 0; y < prog.Chip.Rows && victim == nil; y++ {
-			for x := 0; x < prog.Chip.Cols && victim == nil; x++ {
-				p := biocoder.Point{X: x, Y: y}
-				if !cells[p] {
-					victim, spurious = b, p
+		// Find a block with a track and a chip cell outside its footprint.
+		var victim *cfg.Block
+		var spurious biocoder.Point
+		for _, b := range prog.Graph.Blocks {
+			bc := prog.Executable.Blocks[b.ID]
+			if bc == nil || len(bc.Seq.Tracks) == 0 {
+				continue
+			}
+			cells := map[biocoder.Point]bool{}
+			for _, c := range depgraph.BlockFootprint(prog.Chip, bc) {
+				cells[c] = true
+			}
+			for y := 0; y < prog.Chip.Rows && victim == nil; y++ {
+				for x := 0; x < prog.Chip.Cols && victim == nil; x++ {
+					p := biocoder.Point{X: x, Y: y}
+					if !cells[p] {
+						victim, spurious = b, p
+					}
 				}
 			}
+			if victim != nil {
+				break
+			}
 		}
-		if victim != nil {
+		if victim == nil {
+			t.Fatal("no block admits a spurious footprint cell")
+		}
+		if offChip {
+			spurious = biocoder.Point{X: prog.Chip.Cols, Y: 1}
+		}
+		bc := prog.Executable.Blocks[victim.ID]
+		for _, tr := range bc.Seq.Tracks {
+			tr.Stays = append(tr.Stays, codegen.Stay{Cell: spurious, Len: 1})
 			break
 		}
-	}
-	if victim == nil {
-		t.Fatal("no block admits a spurious footprint cell")
-	}
-	bc := prog.Executable.Blocks[victim.ID]
-	for _, tr := range bc.Seq.Tracks {
-		tr.Stays = append(tr.Stays, codegen.Stay{Cell: spurious, Len: 1})
-		break
-	}
-	res := analyzeProg(t, prog)
-	found := false
-	for _, d := range res.Report.Diags {
-		if d.Code == "BF602" && d.Pos.HasCell && d.Pos.Cell == spurious {
-			found = true
+		res := analyzeProg(t, prog)
+		found := false
+		for _, d := range res.Report.Diags {
+			if d.Code == "BF602" && d.Pos.HasCell && d.Pos.Cell == spurious {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatalf("spurious claimed cell %v did not raise BF602; diags: %v", spurious, res.Report.Diags)
+		if !found {
+			t.Fatalf("spurious claimed cell %v did not raise BF602; diags: %v", spurious, res.Report.Diags)
+		}
+		fp := res.Summary(victim.ID).Footprint
+		if !slices.Contains(fp, spurious) || !slices.IsSortedFunc(fp, biocoder.Point.Compare) {
+			t.Errorf("footprint %v lacks %v or is not in row-major order", fp, spurious)
+		}
 	}
 }
 

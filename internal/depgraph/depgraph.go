@@ -43,6 +43,7 @@ import (
 	"biocoder/internal/cfg"
 	"biocoder/internal/codegen"
 	"biocoder/internal/ir"
+	"biocoder/internal/motion"
 )
 
 // Codes lists the diagnostic codes this package can emit.
@@ -87,50 +88,101 @@ type Dep struct {
 	Droplets  []ir.FluidID
 }
 
-// BlockFootprint returns every chip cell the compiled block can touch:
+// BlockFootprint returns every cell of chip the compiled block can touch:
 // activation frames, droplet tracks, entry/exit contract cells, and event
 // cells, deduplicated in row-major order.
-func BlockFootprint(bc *codegen.BlockCode) []arch.Point {
-	set := map[arch.Point]bool{}
-	if bc != nil {
-		seqCells(set, bc.Seq)
-		for _, p := range bc.Entry {
-			set[p] = true
-		}
-		for _, p := range bc.Exit {
-			set[p] = true
-		}
-	}
-	return sortedCells(set)
+func BlockFootprint(chip *arch.Chip, bc *codegen.BlockCode) []arch.Point {
+	set := newCellSet(chip)
+	set.addBlock(bc)
+	return set.union(nil, nil)
 }
 
-func seqCells(set map[arch.Point]bool, s *codegen.Sequence) {
-	if s == nil {
+// cellSet is a set of cells of one chip, stamped on a grid of the chip's
+// size; the off-chip cells a corrupt executable may name go into a list.
+type cellSet struct {
+	grid *motion.Grid
+	off  []arch.Point // may repeat a cell
+}
+
+func newCellSet(chip *arch.Chip) *cellSet {
+	return &cellSet{grid: motion.NewGrid(chip.Cols, chip.Rows)}
+}
+
+func (s *cellSet) add(p arch.Point) {
+	if s.grid.In(p) {
+		s.grid.Add(p)
+	} else {
+		s.off = append(s.off, p)
+	}
+}
+
+func (s *cellSet) clear() {
+	s.grid.Clear()
+	s.off = s.off[:0]
+}
+
+// addBlock adds every cell the compiled block names (nil-safe).
+func (s *cellSet) addBlock(bc *codegen.BlockCode) {
+	if bc == nil {
 		return
 	}
-	for _, r := range s.Runs {
-		for _, c := range r.Frame {
-			set[c] = true
+	if seq := bc.Seq; seq != nil {
+		for _, r := range seq.Runs {
+			for _, c := range r.Frame {
+				s.add(c)
+			}
+		}
+		for _, tr := range seq.Tracks {
+			for _, st := range tr.Stays {
+				s.add(st.Cell)
+			}
+		}
+		for _, ev := range seq.Events {
+			for _, c := range ev.Cells {
+				s.add(c)
+			}
 		}
 	}
-	for _, tr := range s.Tracks {
-		for _, st := range tr.Stays {
-			set[st.Cell] = true
-		}
+	for _, p := range bc.Entry {
+		s.add(p)
 	}
-	for _, ev := range s.Events {
-		for _, c := range ev.Cells {
-			set[c] = true
-		}
+	for _, p := range bc.Exit {
+		s.add(p)
 	}
 }
 
-func sortedCells(set map[arch.Point]bool) []arch.Point {
-	out := make([]arch.Point, 0, len(set))
-	for c := range set {
-		out = append(out, c)
+// union returns the cells of s and of o (nil: none) in row-major order,
+// read off the grids, and passes each to visit (when non-nil) with its
+// membership of both sets.
+func (s *cellSet) union(o *cellSet, visit func(c arch.Point, inS, inO bool)) []arch.Point {
+	has := func(set *cellSet, c arch.Point) bool {
+		return set != nil && (set.grid.Has(c) || slices.Contains(set.off, c))
 	}
-	slices.SortFunc(out, arch.Point.Compare)
+	var out []arch.Point
+	at := func(c arch.Point) {
+		inS, inO := has(s, c), has(o, c)
+		if !inS && !inO {
+			return
+		}
+		out = append(out, c)
+		if visit != nil {
+			visit(c, inS, inO)
+		}
+	}
+	for i := range s.grid.Cells() {
+		at(s.grid.Point(i))
+	}
+	off := slices.Clone(s.off)
+	if o != nil {
+		off = append(off, o.off...)
+	}
+	if len(off) > 0 {
+		slices.SortFunc(off, arch.Point.Compare)
+		for _, c := range slices.Compact(off) {
+			at(c)
+		}
+		slices.SortFunc(out, arch.Point.Compare)
+	}
 	return out
 }
 

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"biocoder/internal/arch"
+	"biocoder/internal/ir"
 )
 
 // Cross-contamination tracking (paper §5: the router may interleave wash
@@ -29,7 +31,8 @@ type Incident struct {
 
 // Contamination summarizes residue state after a run.
 type Contamination struct {
-	// Incidents lists every foreign-residue crossing, in time order.
+	// Incidents lists every foreign-residue crossing, in time order, and
+	// the crossings of one cycle in droplet order (ir.FluidID.Compare).
 	Incidents []Incident
 	// DirtyCells counts electrodes left with residue at the end.
 	DirtyCells int
@@ -42,7 +45,14 @@ type Contamination struct {
 type residueTracker struct {
 	cells    map[arch.Point]map[string]bool
 	reported map[string]map[arch.Point]bool // droplet -> cells already flagged
+	cycle    []cycleIncident                // the current cycle's incidents, until endCycle
 	out      *Contamination
+}
+
+// cycleIncident is an incident of the current cycle and its droplet.
+type cycleIncident struct {
+	id  ir.FluidID
+	inc Incident
 }
 
 func newResidueTracker() *residueTracker {
@@ -73,10 +83,10 @@ func (rt *residueTracker) touch(d *Droplet, cycle int, label string) {
 		if !rt.reported[id][d.Pos] {
 			rt.reported[id][d.Pos] = true
 			sort.Strings(foreign)
-			rt.out.Incidents = append(rt.out.Incidents, Incident{
+			rt.cycle = append(rt.cycle, cycleIncident{d.ID, Incident{
 				Cycle: cycle, Label: label, Droplet: id,
 				Cell: d.Pos, Residues: foreign,
-			})
+			}})
 		}
 	}
 	if cell == nil {
@@ -86,6 +96,16 @@ func (rt *residueTracker) touch(d *Droplet, cycle int, label string) {
 	for reagent := range d.Contents {
 		cell[reagent] = true
 	}
+}
+
+// endCycle reports the cycle's incidents in droplet order: the machine
+// touches its droplets in map order.
+func (rt *residueTracker) endCycle() {
+	slices.SortFunc(rt.cycle, func(a, b cycleIncident) int { return a.id.Compare(b.id) })
+	for _, c := range rt.cycle {
+		rt.out.Incidents = append(rt.out.Incidents, c.inc)
+	}
+	rt.cycle = rt.cycle[:0]
 }
 
 // finish freezes the report.

@@ -442,6 +442,7 @@ func (m *machine) runSequence(s *codegen.Sequence, label string, isEdge bool) er
 				for _, d := range m.droplets {
 					m.residue.touch(d, m.res.Cycles, label)
 				}
+				m.residue.endCycle()
 			}
 			m.res.Cycles++
 			if m.ds != nil {

@@ -73,6 +73,25 @@ func BenchmarkCompileCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileSourceHit measures the repeat of a BioScript source:
+// one warming compile of pcr.bio, then every identical request is an LRU
+// hit found through the request-key memo, without parsing the source.
+func BenchmarkCompileSourceHit(b *testing.B) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	body := sourceBody(b, readScript(b, "pcr.bio"))
+	if err := benchPost(ts.URL+"/v1/compile", body); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := benchPost(ts.URL+"/v1/compile", body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompileCoalesced measures singleflight amortization: each
 // iteration fires benchFan concurrent identical requests against a
 // cacheless server, so they coalesce onto (at most) one backend compile

@@ -25,10 +25,13 @@
 // store.Cache, over the disk store when one is configured) keyed by a
 // hash of the canonical (pre-SSI) IR, the chip configuration, the compile
 // options, and biocoder.Version; concurrent identical requests coalesce
-// onto one backend compile via singleflight, and every requester receives
+// onto one backend compile (a store.Flight), and every requester receives
 // the byte-identical cached body (the cache disposition travels in the
-// X-Bfd-Cache header, never in the body). Every served executable has
-// passed the full internal/verify pass suite with no error diagnostics.
+// X-Bfd-Cache header, never in the body). A request whose fields repeat
+// an earlier request's byte for byte finds its canonical key through a
+// bounded memo of request hashes, so a repeat served from the cache is
+// never parsed. Every served executable has passed the full
+// internal/verify pass suite with no error diagnostics.
 //
 // The request path is bounded end to end: a worker-pool semaphore caps
 // concurrent heavy requests, MaxBytesReader caps body sizes, every request
@@ -45,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -139,14 +143,15 @@ func (c Config) withDefaults() Config {
 // Server is the bfd daemon. Create with New, mount Handler on an
 // http.Server, and call Drain before shutting the listener down.
 type Server struct {
-	cfg     Config
-	reg     *obs.Registry
-	logger  *slog.Logger
-	stats   Stats
-	cache   *store.Cache[*entry] // compile responses by their bytes, over cfg.CacheStore
-	memo    *biocoder.Memo       // process-wide block memo shared by every backend compile
-	flights flightGroup
-	sem     chan struct{}
+	cfg      Config
+	reg      *obs.Registry
+	logger   *slog.Logger
+	stats    Stats
+	cache    *store.Cache[*entry] // compile responses by their bytes, over cfg.CacheStore
+	requests *store.Cache[string] // canonical keys by request key (requestKey), in memory only
+	memo     *biocoder.Memo       // process-wide block memo shared by every backend compile
+	flights  store.Flight[*entry]
+	sem      chan struct{}
 
 	mu       sync.Mutex
 	draining bool
@@ -166,13 +171,14 @@ func New(cfg Config) *Server {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		cfg:    cfg,
-		reg:    reg,
-		logger: cfg.Logger,
-		stats:  newStats(reg, time.Now()),
-		cache:  store.NewCache(cfg.CacheStore, cfg.CacheBytes, (*entry).size, encodeDiskEntry, decodeDiskEntry),
-		memo:   depgraph.NewMemo(cfg.MemoStore),
-		sem:    make(chan struct{}, cfg.Workers),
+		cfg:      cfg,
+		reg:      reg,
+		logger:   cfg.Logger,
+		stats:    newStats(reg, time.Now()),
+		cache:    store.NewCache(cfg.CacheStore, cfg.CacheBytes, (*entry).size, encodeDiskEntry, decodeDiskEntry),
+		requests: store.NewCache(nil, requestKeyBound, func(string) int64 { return 1 }, nil, nil),
+		memo:     depgraph.NewMemo(cfg.MemoStore),
+		sem:      make(chan struct{}, cfg.Workers),
 	}
 	s.registerDerived()
 	return s
@@ -518,23 +524,45 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	w.Write(e.body)
 }
 
-// resolve turns compile inputs into a cache entry: canonicalize, hash,
-// then serve from the LRU, the persistent disk store, an in-flight
-// compile, or lead a new one. The disposition is "hit", "disk",
-// "coalesced", or "miss". The store re-verifies a disk payload's SHA-256
-// on read, so a disk-served entry is byte-for-byte what an earlier
+// resolve turns compile inputs into a cache entry, served from the LRU,
+// the persistent disk store, an in-flight compile, or a new compile it
+// leads. The disposition is "hit", "disk", "coalesced", or "miss". A
+// request whose fields match an earlier one's byte for byte is looked up
+// under the canonical key recorded for its request key, and is answered
+// without parsing anything when either tier holds that key; any other
+// request is canonicalized first. The store re-verifies a disk payload's
+// SHA-256 on read, so a disk-served entry is byte-for-byte what an earlier
 // process compiled (and verify-gated) under the same content key.
 func (s *Server) resolve(ctx context.Context, tr *obs.Tracer, req *CompileRequest) (*entry, string, error) {
-	sp := tr.Start("canonicalize")
-	g, _, chip, key, err := canonicalize(req)
-	sp.End()
-	if err != nil {
-		return nil, "", err
+	rk := requestKey(req)
+	sp := tr.Start("cache.lookup")
+	key, seen := s.requests.Get(nil, rk)
+	e, tier := (*entry)(nil), store.Miss
+	if seen == store.Memory {
+		e, tier = s.cache.Get(tr, key)
 	}
-
-	sp = tr.Start("cache.lookup")
-	e, tier := s.cache.Get(tr, key)
 	sp.End()
+
+	var (
+		g    *cfg.Graph
+		chip *arch.Chip
+	)
+	if tier == store.Miss {
+		var err error
+		sp = tr.Start("canonicalize")
+		g, _, chip, key, err = canonicalize(req)
+		sp.End()
+		if err != nil {
+			return nil, "", err
+		}
+		// A request seen before was looked up under this key above.
+		if seen == store.Miss {
+			s.requests.Put(rk, key)
+			sp = tr.Start("cache.lookup")
+			e, tier = s.cache.Get(tr, key)
+			sp.End()
+		}
+	}
 	switch tier {
 	case store.Memory:
 		s.stats.CacheHits.Add(1)
@@ -544,7 +572,7 @@ func (s *Server) resolve(ctx context.Context, tr *obs.Tracer, req *CompileReques
 		return e, "disk", nil
 	}
 
-	e, err, shared := s.flights.do(ctx, key, func() (*entry, error) {
+	e, shared, err := s.flights.Do(ctx, key, func() (*entry, error) {
 		// A flight that finished between our lookup and this one may
 		// have populated the cache already.
 		if e, tier := s.cache.Get(nil, key); tier != store.Miss {
@@ -641,6 +669,32 @@ func (s *Server) compileEntry(tr *obs.Tracer, key string, g *cfg.Graph, chip *ar
 func CacheKey(req *CompileRequest) (string, error) {
 	_, _, _, key, err := canonicalize(req)
 	return key, err
+}
+
+// requestKeyBound caps the request keys the server remembers, the block
+// memo's bound; past it the least recently used is forgotten, and its
+// next request is canonicalized again.
+const requestKeyBound = 4096
+
+// requestKey hashes the fields of a compile request as sent: a repeat whose
+// fields match byte for byte has the same key. canonicalize is a pure
+// function of the same fields, so a request key names one canonical key.
+// The fields are framed as canonicalize frames its parts and written into
+// the hash directly, without copying them into a formatted buffer.
+func requestKey(req *CompileRequest) string {
+	h := sha256.New()
+	var n [20]byte
+	for _, part := range []string{
+		biocoder.Version,
+		req.Assay,
+		req.Source,
+		req.Chip,
+		canonicalOptions(req.Options),
+	} {
+		h.Write(append(strconv.AppendInt(n[:0], int64(len(part)), 10), 0))
+		io.WriteString(h, part)
+	}
+	return string(h.Sum(nil))
 }
 
 // canonicalize builds the pre-SSI CFG and the chip, and derives the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"container/list"
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -22,8 +23,9 @@ const (
 // Store on disk. Get reads the disk on a memory miss and promotes what it
 // decodes; Put keeps the first value stored under a key and writes it
 // through. A payload that passes the Store's SHA-256 check but that the
-// decoder rejects is quarantined like a corrupt one. Values are shared by
-// every caller that gets them and must not be modified. Safe for
+// decoder rejects is quarantined like a corrupt one. Goroutines that miss
+// one key in memory at the same time share one disk read of it. Values are
+// shared by every caller that gets them and must not be modified. Safe for
 // concurrent use.
 type Cache[V any] struct {
 	disk   *Store
@@ -38,7 +40,14 @@ type Cache[V any] struct {
 	weight  int64
 	evicted int64
 
+	reads    Flight[read[V]]
 	diskHits atomic.Int64
+}
+
+// read is the outcome of one disk lookup, shared by its flight.
+type read[V any] struct {
+	val  V
+	tier Tier
 }
 
 type cached[V any] struct {
@@ -67,36 +76,54 @@ func NewCache[V any](disk *Store, budget int64, weigh func(V) int64,
 }
 
 // Get returns the value under key and the tier that held it. A memory
-// miss reads the disk inside a "disk.lookup" span of tr (nil-safe).
+// miss reads the disk inside a "disk.lookup" span of tr (nil-safe); the
+// goroutines that miss the key at the same time wait for that one read.
 func (c *Cache[V]) Get(tr *obs.Tracer, key string) (V, Tier) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.lru.MoveToFront(el)
-		v := el.Value.(*cached[V]).val
-		c.mu.Unlock()
+	if v, ok := c.resident(key); ok {
 		return v, Memory
 	}
-	c.mu.Unlock()
 	var zero V
 	if c.disk == nil {
 		return zero, Miss
 	}
 	sp := tr.Start("disk.lookup")
 	defer sp.End()
-	payload, ok := c.disk.Get(key)
-	if !ok {
-		return zero, Miss
-	}
-	v, err := c.decode(key, payload)
+	r, _, err := c.reads.Do(context.Background(), key, func() (read[V], error) {
+		// A read that finished since the lookup above promoted the value.
+		if v, ok := c.resident(key); ok {
+			return read[V]{v, Memory}, nil
+		}
+		payload, ok := c.disk.Get(key)
+		if !ok {
+			return read[V]{}, nil
+		}
+		v, err := c.decode(key, payload)
+		if err != nil {
+			// Intact bytes this build cannot read: a format revision it
+			// does not know. Keep them out of every later lookup.
+			c.disk.Quarantine(key)
+			return read[V]{}, nil
+		}
+		c.diskHits.Add(1)
+		v, _ = c.insert(key, v)
+		return read[V]{v, Disk}, nil
+	})
 	if err != nil {
-		// Intact bytes this build cannot read: a format revision it does
-		// not know. Keep them out of every later lookup.
-		c.disk.Quarantine(key)
 		return zero, Miss
 	}
-	c.diskHits.Add(1)
-	v, _ = c.insert(key, v)
-	return v, Disk
+	return r.val, r.tier
+}
+
+// resident returns the value under key from memory, refreshing it.
+func (c *Cache[V]) resident(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*cached[V]).val, true
+	}
+	var zero V
+	return zero, false
 }
 
 // Put stores v under key unless a value is already resident there, and

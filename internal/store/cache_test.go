@@ -2,12 +2,15 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"biocoder/internal/obs"
 )
@@ -164,5 +167,108 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	if st := disk.Stats(); st.Corrupt != 0 {
 		t.Errorf("store stats = %+v, want no corruption", st)
+	}
+}
+
+// followers returns how many callers wait on g's flight under key.
+func followers[V any](g *Flight[V], key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.dups
+	}
+	return 0
+}
+
+// Goroutines that miss a key only the disk holds, all at once, share one
+// store read, one decode and one disk hit. The decoder holds the leader's
+// read open until every other goroutine waits on it.
+func TestCacheOneDiskReadPerKey(t *testing.T) {
+	disk, err := Open(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesCache(disk, 100).Put("k", []byte("value"))
+
+	const n = 8
+	started, release := make(chan struct{}), make(chan struct{})
+	var decodes atomic.Int64
+	c := NewCache(disk, 100, func(v []byte) int64 { return int64(len(v)) }, nil,
+		func(_ string, p []byte) ([]byte, error) {
+			if decodes.Add(1) == 1 {
+				close(started)
+			}
+			<-release
+			return p[1:], nil
+		})
+	var wg sync.WaitGroup
+	tiers := make([]Tier, n)
+	vals := make([][]byte, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals[i], tiers[i] = c.Get(nil, "k")
+		}(i)
+	}
+	<-started
+	for followers(&c.reads, "k") < n-1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	for i := range tiers {
+		if tiers[i] != Disk || string(vals[i]) != "value" {
+			t.Errorf("Get %d = %q from tier %d, want the value from disk", i, vals[i], tiers[i])
+		}
+	}
+	if got := decodes.Load(); got != 1 {
+		t.Errorf("decodes = %d, want 1", got)
+	}
+	if st := disk.Stats(); st.Hits != 1 {
+		t.Errorf("store reads = %d, want 1", st.Hits)
+	}
+	if st := c.Stats(); st.DiskHits != 1 || st.Entries != 1 {
+		t.Errorf("cache stats = %+v, want 1 disk hit and 1 entry", st)
+	}
+}
+
+// A follower whose context ends stops waiting; a leader that panics leaves
+// its followers ErrFlightAborted.
+func TestFlightCancelAndPanic(t *testing.T) {
+	var g Flight[int]
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { recover() }()
+		g.Do(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-release
+			panic("leader fails")
+		})
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, shared, err := g.Do(ctx, "k", func() (int, error) { return 1, nil }); !shared || err != context.Canceled {
+		t.Errorf("canceled follower: shared %t, err %v, want a shared context.Canceled", shared, err)
+	}
+	errc := make(chan error)
+	go func() {
+		_, _, err := g.Do(context.Background(), "k", func() (int, error) { return 1, nil })
+		errc <- err
+	}()
+	for followers(&g, "k") < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-done
+	if err := <-errc; !errors.Is(err, ErrFlightAborted) {
+		t.Errorf("follower of a panicking leader: err %v, want ErrFlightAborted", err)
+	}
+	if v, shared, err := g.Do(context.Background(), "k", func() (int, error) { return 7, nil }); v != 7 || shared || err != nil {
+		t.Errorf("next flight = %d, %t, %v, want a fresh leader's 7", v, shared, err)
 	}
 }
